@@ -1,11 +1,12 @@
 """Audit overhead benchmark: conservation ledgers must be near-free.
 
-Two measurements, mirroring ``test_trace_overhead``:
+Two measurements:
 
-* the dispatch loop with auditing disabled vs. a local replica of the
-  uninstrumented seed loop — with no auditor installed the only addition
-  is one ``auditor.enabled`` check per ``run()`` call, so the ratio must
-  stay under 3%;
+* the dispatch loop with nothing installed vs. a local replica of the
+  uninstrumented seed loop — ``Simulator.run`` is one loop, and its only
+  per-event additions are a virtual-time compare (the monotonicity probe,
+  which calls the auditor only when it fails) and a test of the local
+  ``traced`` flag, so the ratio must stay under 3%;
 * fig11 (the UDP bursty-loss sweep, the audit-heaviest catalogue entry:
   ~30 link ledgers and ~100k idle-path checks per run) audited vs.
   unaudited — the enabled path registers watches and flags violations
@@ -21,7 +22,8 @@ import heapq
 import pickle
 import time
 
-from repro.audit import Auditor, auditing
+from repro import instruments
+from repro.audit import Auditor
 from repro.experiments import fig11_bursty_loss
 from repro.net.sim import Simulator
 
@@ -82,7 +84,7 @@ def test_disabled_path_overhead_vs_seed_loop():
     print(f"\ndisabled-path dispatch: {rate:.2f} M events/s, "
           f"vs seed loop x{ratio:.3f}")
     assert ratio < 1.03, (
-        f"disabled auditing costs {(ratio - 1) * 100:.1f}% over the seed loop"
+        f"the disabled path costs {(ratio - 1) * 100:.1f}% over the seed loop"
     )
 
 
@@ -98,8 +100,9 @@ def test_fig11_audited_vs_unaudited():
         plain = fig11_bursty_loss.run(7)
         unaudited_times.append(time.perf_counter() - started)
 
+        auditor = Auditor()
         started = time.perf_counter()
-        with auditing(Auditor()) as auditor:
+        with instruments.using(auditor=auditor):
             audited = fig11_bursty_loss.run(7)
             auditor.checkpoint("bench-end")
         audited_times.append(time.perf_counter() - started)

@@ -2,22 +2,23 @@
 
 Quick start::
 
-    from repro import audit
+    from repro import audit, instruments
 
-    with audit.auditing() as auditor:
+    with instruments.using(auditor=audit.Auditor()) as active:
         result = fig7.run(seed=7)
-        residuals = auditor.checkpoint("run-end")
-    auditor.assert_clean("fig7 seed 7")
-    audit.write_jsonl(auditor, "fig7.audit.jsonl")
+        residuals = active.auditor.checkpoint("run-end")
+    active.auditor.assert_clean("fig7 seed 7")
+    audit.write_jsonl(active.auditor, "fig7.audit.jsonl")
 
-Components capture :func:`current` once at construction, so the per-call
-cost with no auditor installed is a no-op method on the shared
-:data:`NULL_AUDITOR`.  Set ``REPRO_NO_AUDIT=1`` to keep runner-managed
-runs on the null path entirely.
+Components capture the auditor of :func:`repro.instruments.current` once
+at construction, so the per-call cost with no auditor installed is a
+no-op method on the shared :data:`NULL_AUDITOR`.  Set
+``REPRO_NO_AUDIT=1`` to keep runner-managed runs on the null path
+entirely.
 
 See :mod:`repro.audit.core` for the recording model,
 :mod:`repro.audit.export` for the byte-deterministic JSONL dumps, and
-:mod:`repro.audit.analysis` for ``repro audit show|diff`` queries.
+:mod:`repro.audit.analysis` for the ``repro inspect show|diff`` queries.
 """
 
 from repro.audit.analysis import AuditDiff, diff_audits, summary_table, violations_table
@@ -28,11 +29,7 @@ from repro.audit.core import (
     AuditStats,
     Auditor,
     NullAuditor,
-    auditing,
     audits_enabled,
-    current,
-    install,
-    uninstall,
 )
 from repro.audit.export import (
     dump_basename,
@@ -49,16 +46,12 @@ __all__ = [
     "AuditStats",
     "Auditor",
     "NullAuditor",
-    "auditing",
     "audits_enabled",
-    "current",
     "diff_audits",
     "dump_basename",
-    "install",
     "load_audit",
     "summary_table",
     "to_jsonl_lines",
-    "uninstall",
     "violations_table",
     "write_jsonl",
 ]

@@ -20,19 +20,19 @@ An :class:`Auditor` carries three cooperating mechanisms:
   (experiment, seed) and byte-identical across serial and parallel
   campaigns.
 
-The enable/disable machinery mirrors ``repro.trace``/``repro.metrics``:
-a module-level install stack, a :data:`NULL_AUDITOR` whose every hook is
-a no-op, and components capturing :func:`current` once at construction.
-The campaign runner installs a fresh per-run auditor by default
-(``REPRO_NO_AUDIT=1`` opts out), checkpoints it at run end, and exports
-the ledger totals as ``audit.*`` KPIs through ``repro.metrics``.
+Components capture the ``auditor`` of :func:`repro.instruments.current`
+once at construction: :data:`NULL_AUDITOR`, whose every hook is a no-op,
+unless a run installs one.  The campaign runner installs a fresh per-run
+auditor by default (``REPRO_NO_AUDIT=1`` opts out), checkpoints it at run
+end, and exports the ledger totals as ``audit.*`` KPIs through
+``repro.metrics``.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 __all__ = [
@@ -42,11 +42,7 @@ __all__ = [
     "Auditor",
     "NULL_AUDITOR",
     "NullAuditor",
-    "auditing",
     "audits_enabled",
-    "current",
-    "install",
-    "uninstall",
 ]
 
 #: Default ring capacity.  Audit events are deliberately low-rate (notes
@@ -288,9 +284,9 @@ class Auditor:
 class NullAuditor:
     """The disabled auditor: every method is a no-op.
 
-    Instrumented components capture :func:`current` once at construction;
-    with no auditor installed every hook collapses to one attribute load
-    (``enabled``) or one no-op call.
+    It is the ``auditor`` of an :class:`repro.instruments.Instruments`
+    record unless a run overrides it; every hook collapses to one
+    attribute load (``enabled``) or one no-op call.
     """
 
     enabled = False
@@ -343,49 +339,3 @@ class NullAuditor:
 
 
 NULL_AUDITOR = NullAuditor()
-
-# Stack of installed auditors; the top is what `current()` returns.  A
-# stack (rather than a single slot) lets tests nest `auditing()` blocks.
-_installed: list[Any] = [NULL_AUDITOR]
-
-
-def current() -> Auditor | NullAuditor:
-    """The active auditor (:data:`NULL_AUDITOR` when auditing is disabled)."""
-    return _installed[-1]
-
-
-def install(auditor: Auditor) -> Auditor:
-    """Make ``auditor`` the active auditor until :func:`uninstall`."""
-    _installed.append(auditor)
-    return auditor
-
-
-def uninstall(auditor: Auditor | None = None) -> None:
-    """Pop the active auditor (validating it is ``auditor`` when given)."""
-    if len(_installed) == 1:
-        raise RuntimeError("no auditor installed")
-    if auditor is not None and _installed[-1] is not auditor:
-        raise RuntimeError("uninstall out of order: a different auditor is active")
-    _installed.pop()
-
-
-@dataclass
-class auditing:
-    """Context manager installing an auditor for the duration of a block.
-
-    Example:
-        >>> with auditing() as auditor:
-        ...     current() is auditor
-        True
-    """
-
-    auditor: Auditor | None = None
-    capacity: int = DEFAULT_CAPACITY
-    _active: Auditor = field(init=False, repr=False)
-
-    def __enter__(self) -> Auditor:
-        self._active = self.auditor if self.auditor is not None else Auditor(self.capacity)
-        return install(self._active)
-
-    def __exit__(self, *exc: Any) -> None:
-        uninstall(self._active)

@@ -4,7 +4,7 @@ One sorted-key JSON object per line, preceded by a header.  Dumps carry
 *virtual* timestamps only — no wall clock, no PIDs, no absolute paths —
 so the flight recorder of a fixed (experiment, seed) is byte-identical
 whether the run executed serially, in a pool worker, or on another
-machine.  That is what makes ``repro audit diff`` a meaningful gate: two
+machine.  That is what makes ``repro inspect diff`` a meaningful gate: two
 dumps of the same run must be equal down to the byte.
 """
 

@@ -8,6 +8,7 @@ Usage:
     python -m repro run fig6 --scenario sa-mode
     python -m repro run fig7 --set workload.sim_scale=0.1
     python -m repro sweep fig6 tab4 --set radio.sa_mode=false,true
+    python -m repro inspect show campaign.metrics.jsonl
     python -m repro paper-index
 
 ``run`` goes through the campaign runner (:mod:`repro.runner`): results
@@ -26,16 +27,16 @@ applies individual overrides on top.  ``sweep`` cartesian-expands
 under every point, reporting per-point KPI snapshots.
 
 Observability companions: ``run --metrics PATH`` exports the campaign's
-merged KPI registry (``repro metrics show|export|diff`` inspects it),
-``run --profile PATH`` wraps each run in cProfile and dumps a combined
-pstats file, and ``repro bench`` records BENCH_<date>.json performance
-trajectory points gated against ``benchmarks/bench-baseline.json``.
+merged KPI registry (``repro inspect show|export|diff`` reads it and every
+other run artifact), ``run --profile PATH`` wraps each run in cProfile and
+dumps a combined pstats file, and ``repro bench`` records BENCH_<date>.json
+performance trajectory points gated against ``benchmarks/bench-baseline.json``.
 
 Runs execute under the :mod:`repro.audit` runtime-verification layer by
 default: conservation ledgers and invariant probes run alongside the
 simulation, a probe violation fails the run, and the flight recorder of
 a failed run is dumped under ``.repro_audit/`` (override with
-``$REPRO_AUDIT_DIR``) for ``repro audit show|diff``.  ``--no-audit``
+``$REPRO_AUDIT_DIR``) for ``repro inspect show|diff``.  ``--no-audit``
 disables the layer, ``--audit-dump DIR`` dumps every run's flight
 recorder, and ``--stall-timeout N`` arms a heartbeat watchdog that
 reports parallel workers busy longer than N seconds.
@@ -52,14 +53,12 @@ from typing import Any
 
 import numpy as np
 
-from repro import trace
-from repro.audit.cli import add_audit_arguments, run_audit
+from repro import instruments, trace
 from repro.core.results import ResultTable
 from repro.experiments.registry import EXPERIMENTS, UnknownExperimentError
+from repro.inspection import add_inspect_arguments, run_inspect
 from repro.lint.cli import add_lint_arguments, run_lint
-from repro.metrics.cli import add_metrics_arguments, run_metrics
 from repro.metrics.export import write_jsonl
-from repro.trace.cli import add_trace_arguments, run_trace
 from repro.runner import (
     CampaignOutcome,
     ExperimentFailure,
@@ -73,7 +72,6 @@ from repro.runner import (
     source_hash,
     streams_by_worker,
 )
-from repro.runner import profiling
 from repro.runner.bench import add_bench_arguments, run_bench
 from repro.scenario import (
     Scenario,
@@ -233,20 +231,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if non_default:
         print(f"scenario: {scenario.describe()}\n")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
+    overrides: dict[str, Any] = {}
     if args.trace_path is not None:
-        # The tracer lives in this process: tracing forces a serial,
-        # cache-bypassing campaign so every record is actually emitted here.
-        if args.parallel > 1:
-            print("tracing is in-process; ignoring --parallel", file=sys.stderr)
-            args.parallel = 1
-        cache = None
+        overrides["tracer"] = trace.Tracer()
     if args.profile_path is not None:
-        # cProfile state is per-process and a cache hit profiles nothing,
-        # so profiling forces a serial, cache-bypassing campaign too.
-        if args.parallel > 1:
-            print("profiling is in-process; ignoring --parallel", file=sys.stderr)
-            args.parallel = 1
+        overrides["profiler"] = ProfileCollector()
+    if overrides:
+        # The tracer and the profiler live in this process and a cache hit
+        # records nothing, so either forces a serial, cache-bypassing campaign.
         cache = None
+        if args.parallel > 1:
+            what = "tracing" if "tracer" in overrides else "profiling"
+            print(f"{what} is in-process; ignoring --parallel", file=sys.stderr)
+            args.parallel = 1
     serial = args.parallel <= 1
 
     def progress(outcome: CampaignOutcome) -> None:
@@ -260,16 +257,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(f"   done {outcome.name} [{origin}]")
 
-    tracer = trace.Tracer() if args.trace_path is not None else None
-    collector = (
-        ProfileCollector() if args.profile_path is not None else None
-    )
     try:
-        if tracer is not None:
-            trace.install(tracer)
-        if collector is not None:
-            profiling.install(collector)
-        try:
+        with instruments.using(**overrides) as active:
             outcomes = run_campaign(
                 args.names,
                 seed=args.seed,
@@ -280,11 +269,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 scenario=scenario,
                 stall_timeout_s=args.stall_timeout,
             )
-        finally:
-            if collector is not None:
-                profiling.uninstall(collector)
-            if tracer is not None:
-                trace.uninstall(tracer)
     except UnknownExperimentError as exc:
         print(str(exc), file=sys.stderr)
         print("use `python -m repro list` to see the catalogue", file=sys.stderr)
@@ -293,7 +277,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         if exc.audit_dump_path:
             print(
-                f"inspect with: python -m repro audit show {exc.audit_dump_path}",
+                f"inspect with: python -m repro inspect show {exc.audit_dump_path}",
                 file=sys.stderr,
             )
         return 1
@@ -315,9 +299,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             workers = ", ".join(f"pid {pid}: {n}" for pid, n in per_worker.items())
             print(f"rng streams by worker: {workers}")
         print(f"total uncached wall time: {total:.2f}s\n")
-    if tracer is not None:
-        _write_trace(args.trace_path, tracer, args)
-    if collector is not None:
+    if args.trace_path is not None:
+        _write_trace(args.trace_path, active.tracer, args)
+    if args.profile_path is not None:
+        collector = active.profiler
         if collector.empty:
             print("no profiled runs; nothing written", file=sys.stderr)
         else:
@@ -453,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--metrics", dest="metrics_path", default=None,
                             metavar="PATH",
                             help="write the campaign's merged KPI registry as "
-                                 "metrics JSONL (inspect with `repro metrics`)")
+                                 "metrics JSONL (inspect with `repro inspect`)")
     run_parser.add_argument("--profile", dest="profile_path", default=None,
                             metavar="PATH",
                             help="profile each run under cProfile and dump a "
@@ -502,22 +487,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run the replint domain linter (determinism, units, simulator API)",
     )
     add_lint_arguments(lint_parser)
-    trace_parser = sub.add_parser(
-        "trace",
-        help="inspect trace files from `run --trace` (summary, export, diff)",
+    inspect_parser = sub.add_parser(
+        "inspect",
+        help="read any run artifact: traces, metrics files, flight-recorder "
+             "dumps, heartbeat directories (show, diff, export)",
     )
-    add_trace_arguments(trace_parser)
-    metrics_parser = sub.add_parser(
-        "metrics",
-        help="inspect metrics files from `run --metrics` (show, export, diff)",
-    )
-    add_metrics_arguments(metrics_parser)
-    audit_parser = sub.add_parser(
-        "audit",
-        help="inspect flight-recorder dumps and worker heartbeats "
-             "(show, diff, stalls)",
-    )
-    add_audit_arguments(audit_parser)
+    add_inspect_arguments(inspect_parser)
     bench_parser = sub.add_parser(
         "bench",
         help="write a BENCH_<date>.json trajectory point and gate it against "
@@ -540,12 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_paper_index()
     if args.command == "lint":
         return run_lint(args)
-    if args.command == "trace":
-        return run_trace(args)
-    if args.command == "metrics":
-        return run_metrics(args)
-    if args.command == "audit":
-        return run_audit(args)
+    if args.command == "inspect":
+        return run_inspect(args)
     if args.command == "bench":
         return run_bench(args)
     parser.error(f"unknown command {args.command!r}")

@@ -17,8 +17,7 @@ from repro.energy.drx import (
     TimelineSegment,
     Transfer,
 )
-from repro.audit.core import current as _current_auditor
-from repro.trace.core import current as _current_tracer
+from repro import instruments
 
 __all__ = [
     "WorkloadCapacities",
@@ -39,7 +38,7 @@ DYNAMIC_SWITCH_THRESHOLD_BPS = 100e6
 
 def _trace_segments(model_name: str, result: EnergyResult) -> EnergyResult:
     """Emit one radio-state span per timeline segment (no-op when untraced)."""
-    tracer = _current_tracer()
+    tracer = instruments.current().tracer
     if tracer.enabled:
         for seg in result.segments:
             tracer.complete(
@@ -61,7 +60,7 @@ def _audit_segments(model_name: str, result: EnergyResult) -> EnergyResult:
     residuals beyond float accumulation noise mean a state was dropped
     or double-billed.
     """
-    auditor = _current_auditor()
+    auditor = instruments.current().auditor
     if not auditor.enabled or not result.segments:
         return result
     segments = result.segments

@@ -27,9 +27,9 @@ from functools import lru_cache
 
 from typing import Any
 
+from repro import instruments
 from repro.core.rng import RngFactory
 from repro.geometry.world import WorldModel
-from repro.metrics import core as metrics
 from repro.net.path import PathConfig
 from repro.radio.cell import RadioNetwork
 from repro.radio.propagation import Environment
@@ -151,7 +151,7 @@ def record_kpi(name: str, value: float) -> None:
     fraction, an energy-per-bit figure.  Last write wins on re-entry
     within a run; across runs each run's value is kept per origin.
     """
-    metrics.current().gauge(name).set(float(value))
+    instruments.current().registry.gauge(name).set(float(value))
 
 
 def record_kpi_samples(name: str, samples: Iterable[float]) -> None:
@@ -162,11 +162,11 @@ def record_kpi_samples(name: str, samples: Iterable[float]) -> None:
     and a bottom-k reservoir for quantiles, and merges deterministically
     across workers.
     """
-    sketch = metrics.current().quantile(name)
+    sketch = instruments.current().registry.quantile(name)
     for sample in samples:
         sketch.observe(float(sample))
 
 
 def bump_kpi(name: str, delta: int = 1) -> None:
     """Increment a monotone event counter under the ambient registry."""
-    metrics.current().counter(name).inc(delta)
+    instruments.current().registry.counter(name).inc(delta)

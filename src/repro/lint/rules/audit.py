@@ -2,7 +2,7 @@
 
 Audit events are a public, diffable surface twice over: ledger totals are
 exported as ``audit.*`` KPIs through :mod:`repro.metrics`, and flight
-recorder dumps are compared byte-for-byte by ``repro audit diff`` and the
+recorder dumps are compared byte-for-byte by ``repro inspect diff`` and the
 CI determinism gate.  A misspelt event name silently forks a ledger, so
 names registered from source must
 
@@ -13,10 +13,10 @@ names registered from source must
 
 The rule fires on the auditor registration methods (``.note``/``.flag``/
 ``.probe``/``.observe``/``.watch``) when the receiver is recognisably an
-auditor — a name containing ``audit`` or a call to :mod:`repro.audit`'s
-``current()``.  f-string names are checked on their literal fragments;
-names built by opaque expressions are out of static reach and skipped,
-as is the :mod:`repro.audit` package itself.
+auditor — a name or attribute containing ``audit``, which covers
+``instruments.current().auditor``.  f-string names are checked on their
+literal fragments; names built by opaque expressions are out of static
+reach and skipped, as is the :mod:`repro.audit` package itself.
 
 The second half of the rule keeps probes honest: by convention, helpers
 named ``_audit_*`` are *read-only* observers called from simulation hot
@@ -39,9 +39,6 @@ from repro.lint.engine import FileContext, Rule, Violation, rule
 #: Auditor methods whose first argument is an audit event name.
 _REGISTRATION_METHODS = frozenset({"note", "flag", "probe", "observe", "watch"})
 
-#: ``current()`` spellings that yield the ambient auditor.
-_CURRENT_FUNCS = {"repro.audit.current", "repro.audit.core.current"}
-
 #: Dimensionless suffixes allowed alongside the units lattice.
 _EXTRA_SUFFIXES = ("_count", "_ratio")
 
@@ -51,14 +48,12 @@ _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_.")
 _PROBE_HELPER_PREFIX = "_audit_"
 
 
-def _auditor_receiver(node: ast.AST, ctx: FileContext) -> bool:
+def _auditor_receiver(node: ast.AST) -> bool:
     """Does ``node`` plausibly evaluate to an auditor?"""
     if isinstance(node, ast.Name):
         return "audit" in node.id.lower()
     if isinstance(node, ast.Attribute):
         return "audit" in node.attr.lower()
-    if isinstance(node, ast.Call):
-        return ctx.imports.resolve(node.func) in _CURRENT_FUNCS
     return False
 
 
@@ -117,7 +112,7 @@ class AuditHygieneRule(Rule):
         if not (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in _REGISTRATION_METHODS
-            and _auditor_receiver(node.func.value, ctx)
+            and _auditor_receiver(node.func.value)
         ):
             return None
         if node.args:

@@ -1,6 +1,6 @@
 """REP006: metric-name hygiene for the KPI registry.
 
-Metric names are a public, diffable surface: ``repro metrics diff`` and
+Metric names are a public, diffable surface: ``repro inspect diff`` and
 the bench KPI gate match on them byte-for-byte, and the Prometheus
 exporter folds them into series names.  A typo'd or unit-less name
 silently forks a KPI series, so names registered from source must
@@ -14,11 +14,11 @@ The rule fires on the KPI helpers (``record_kpi``,
 ``record_kpi_samples``, ``bump_kpi`` from ``repro.experiments.common``)
 and on the registry accessors (``.counter``/``.gauge``/``.welford``/
 ``.quantile``/``.histogram``) when the receiver is recognisably a metric
-registry — a name containing ``registry``/``metrics`` or a call to
-``repro.metrics``' ``current()``.  f-string names are checked on their
-literal fragments (the trailing fragment carries the unit suffix);
-names built by opaque expressions are out of static reach and skipped,
-as is the :mod:`repro.metrics` package itself.
+registry — a name or attribute containing ``registry``/``metrics``,
+which covers ``instruments.current().registry``.  f-string names are
+checked on their literal fragments (the trailing fragment carries the
+unit suffix); names built by opaque expressions are out of static reach
+and skipped, as is the :mod:`repro.metrics` package itself.
 """
 
 from __future__ import annotations
@@ -39,16 +39,13 @@ _KPI_HELPERS = {
 #: Registry accessor methods whose first argument is a metric name.
 _ACCESSORS = {"counter", "gauge", "welford", "quantile", "histogram"}
 
-#: ``current()`` spellings that yield the ambient registry.
-_CURRENT_FUNCS = {"repro.metrics.current", "repro.metrics.core.current"}
-
 #: Dimensionless suffixes allowed alongside the units lattice.
 _EXTRA_SUFFIXES = ("_count", "_ratio")
 
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_.")
 
 
-def _registry_receiver(node: ast.AST, ctx: FileContext) -> bool:
+def _registry_receiver(node: ast.AST) -> bool:
     """Does ``node`` plausibly evaluate to a metric registry?"""
     if isinstance(node, ast.Name):
         lowered = node.id.lower()
@@ -56,8 +53,6 @@ def _registry_receiver(node: ast.AST, ctx: FileContext) -> bool:
     if isinstance(node, ast.Attribute):
         lowered = node.attr.lower()
         return "registry" in lowered or "metrics" in lowered
-    if isinstance(node, ast.Call):
-        return ctx.imports.resolve(node.func) in _CURRENT_FUNCS
     return False
 
 
@@ -113,7 +108,7 @@ class MetricNameRule(Rule):
         is_registration = qualified in _KPI_HELPERS or (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in _ACCESSORS
-            and _registry_receiver(node.func.value, ctx)
+            and _registry_receiver(node.func.value)
         )
         if not is_registration:
             return None

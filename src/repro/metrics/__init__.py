@@ -8,19 +8,17 @@ and per-worker snapshots merge deterministically into a campaign-level
 view (byte-identical serial vs parallel).  See :mod:`repro.metrics.core`
 for the merge model, :mod:`repro.metrics.sketches` for the sketch
 algebra, and :mod:`repro.metrics.export` for JSONL/Prometheus output.
+The registry a run records into is the ``registry`` field of
+:func:`repro.instruments.current`.
 """
 
 from repro.metrics.core import (
     MetricRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    collecting,
-    current,
     fold_metric_name,
-    install,
     merge_snapshots,
     summarize_entry,
-    uninstall,
 )
 from repro.metrics.export import (
     diff_snapshots,
@@ -45,17 +43,13 @@ __all__ = [
     "P2Quantile",
     "ReservoirQuantile",
     "Welford",
-    "collecting",
-    "current",
     "diff_snapshots",
     "fold_metric_name",
-    "install",
     "load_snapshot",
     "merge_snapshots",
     "summarize_entry",
     "to_jsonl_lines",
     "to_prometheus_lines",
-    "uninstall",
     "write_jsonl",
     "write_prometheus",
 ]

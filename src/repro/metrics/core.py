@@ -20,10 +20,10 @@ into exactly the snapshot a serial campaign produces, regardless of
 completion order.  Duplicate origins must carry identical parts (the same
 run observed twice); conflicting duplicates raise.
 
-Experiments record through the module-level stack (mirroring
-``repro.trace``): :func:`install` / :func:`uninstall` / :func:`current` /
-:func:`collecting`.  When nothing is installed, :data:`NULL_REGISTRY`
-absorbs all recording at the cost of one no-op call.
+Experiments record into the ``registry`` field of
+:func:`repro.instruments.current`.  When nothing is installed,
+:data:`NULL_REGISTRY` absorbs all recording at the cost of one no-op
+call.
 
 Metric names must match ``[a-z0-9_.]+`` — the REP006 lint rule further
 requires a unit suffix from ``repro.core.units.UNIT_DIMENSIONS`` (or
@@ -50,13 +50,9 @@ __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "SNAPSHOT_SCHEMA_VERSION",
-    "collecting",
-    "current",
     "fold_metric_name",
-    "install",
     "merge_snapshots",
     "summarize_entry",
-    "uninstall",
 ]
 
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -414,45 +410,3 @@ class NullRegistry:
 
 
 NULL_REGISTRY = NullRegistry()
-
-# Stack of installed registries; the top is what `current()` returns.
-_installed: list[Any] = [NULL_REGISTRY]
-
-
-def current() -> MetricRegistry | NullRegistry:
-    """The active registry (:data:`NULL_REGISTRY` when none is installed)."""
-    return _installed[-1]
-
-
-def install(registry: MetricRegistry) -> MetricRegistry:
-    """Make ``registry`` the active recording target until :func:`uninstall`."""
-    _installed.append(registry)
-    return registry
-
-
-def uninstall(registry: MetricRegistry | None = None) -> None:
-    """Pop the active registry (validating it is ``registry`` when given)."""
-    if len(_installed) == 1:
-        raise RuntimeError("no metric registry installed")
-    if registry is not None and _installed[-1] is not registry:
-        raise RuntimeError("uninstall out of order: a different registry is active")
-    _installed.pop()
-
-
-class collecting:
-    """Context manager installing a registry for the duration of a block.
-
-    Example:
-        >>> with collecting(origin="test") as registry:
-        ...     current() is registry
-        True
-    """
-
-    def __init__(self, registry: MetricRegistry | None = None, origin: str = "") -> None:
-        self._registry = registry if registry is not None else MetricRegistry(origin=origin)
-
-    def __enter__(self) -> MetricRegistry:
-        return install(self._registry)
-
-    def __exit__(self, *exc: Any) -> None:
-        uninstall(self._registry)

@@ -15,7 +15,7 @@ Two output formats:
   cannot carry ``.``).
 
 :func:`load_snapshot` reads the JSONL form back into a plain snapshot
-dict, so ``repro metrics show|diff`` and :func:`diff_snapshots` work on
+dict, so ``repro inspect show|diff`` and :func:`diff_snapshots` work on
 files exactly as on in-memory snapshots.
 """
 
@@ -33,6 +33,7 @@ __all__ = [
     "JSONL_SCHEMA_VERSION",
     "MetricDelta",
     "diff_snapshots",
+    "diff_table",
     "load_snapshot",
     "summary_table",
     "to_jsonl_lines",
@@ -278,3 +279,21 @@ def diff_snapshots(
             if relative > tolerance:
                 deltas.append(MetricDelta(name, field, va, vb, relative))
     return deltas
+
+
+def diff_table(deltas: list[MetricDelta]) -> ResultTable:
+    """Human-readable rendering of :func:`diff_snapshots` output."""
+    table = ResultTable("Metrics diff", ["metric", "field", "a", "b", "rel diff"])
+    for delta in deltas:
+        table.add_row(
+            [
+                delta.name,
+                delta.field,
+                "absent" if delta.value_a is None else f"{delta.value_a:g}",
+                "absent" if delta.value_b is None else f"{delta.value_b:g}",
+                "-" if delta.missing else f"{delta.relative:.2%}",
+            ]
+        )
+    if not deltas:
+        table.add_row(["(identical within tolerance)", "", "", "", ""])
+    return table

@@ -20,12 +20,12 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro import instruments
 from repro.core.config import DEFAULT_HANDOFF_CONFIG, HandoffConfig
 from repro.mobility.walker import TrajectoryPoint
 from repro.radio import batch
 from repro.radio.cell import RadioNetwork
 from repro.radio.signal import MIN_SERVICE_RSRP_DBM
-from repro.trace import core as trace
 
 __all__ = [
     "HandoffKind",
@@ -255,7 +255,7 @@ class HandoffEngine:
         self.measurement_noise_db = measurement_noise_db
         self.sa_mode = sa_mode
         self._rng = rng
-        self._tracer = trace.current()
+        self._tracer = instruments.current().tracer
 
     def _measured(self, rsrq_db: float) -> float:
         """Apply report-level measurement noise."""

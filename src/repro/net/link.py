@@ -20,11 +20,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.audit.core import current as _current_auditor
+from repro import instruments
 from repro.metrics.core import fold_metric_name
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
-from repro.trace.core import current as _current_tracer
 
 if TYPE_CHECKING:
     from repro.qdisc.base import Qdisc
@@ -226,8 +225,9 @@ class Link:
         self._in_transit_bytes = 0
         # Like Simulator: with no tracer installed this is the null
         # tracer and the depth counters compile down to one bool check.
-        self._tracer = _current_tracer()
-        self._auditor = _current_auditor()
+        active = instruments.current()
+        self._tracer = active.tracer
+        self._auditor = active.auditor
         self._audit_idle_name = ""
         if self._auditor.enabled:
             self._register_audit()
@@ -278,11 +278,12 @@ class Link:
                 f"audit.link.{n}.queue_residual_bytes",
                 lambda: queue.enqueued_bytes - queue.dequeued_bytes - queue.occupancy_bytes,
             )
-        capacity = getattr(queue, "capacity_packets", None)
-        if capacity is not None:
+        if getattr(queue, "capacity_packets", None) is not None:
+            # Capacity is read per checkpoint: experiments resize buffers after construction.
             auditor.watch(
                 f"audit.link.{n}.occupancy_bounds_pkts",
-                lambda: max(0, -queue.occupancy) + max(0, queue.occupancy - capacity),
+                lambda: max(0, -queue.occupancy)
+                + max(0, queue.occupancy - queue.capacity_packets),
             )
         auditor.watch(
             f"audit.link.{n}.transit_residual_pkts",

@@ -19,8 +19,7 @@ import heapq
 from collections.abc import Callable
 from typing import Any, NamedTuple
 
-from repro.audit import core as audit
-from repro.trace import core as trace
+from repro import instruments
 
 __all__ = ["Event", "SimCounters", "Simulator", "global_counters"]
 
@@ -103,10 +102,11 @@ class Simulator:
         self.events_scheduled = 0
         self.events_executed = 0
         self.events_cancelled = 0
-        # Captured once at construction: with no tracer installed this is the
-        # module-level null tracer and run() takes the untraced loop.
-        self.tracer = trace.current()
-        self.auditor = audit.current()
+        # Captured once at construction: with nothing installed these are
+        # the null tracer and auditor, whose hooks run() never calls.
+        active = instruments.current()
+        self.tracer = active.tracer
+        self.auditor = active.auditor
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
@@ -140,18 +140,17 @@ class Simulator:
         With ``until`` set, simulation time always advances exactly to
         ``until`` even if the heap drains earlier.
 
-        The loop is duplicated rather than branching per event: tracing and
-        auditing are decided once per ``run()`` call, so with both disabled
-        the hot path is identical to the uninstrumented loop.
+        Each dispatch probes virtual-time monotonicity with one float
+        compare.  ``schedule()`` rejects negative delays, so a dispatch
+        behind ``now`` means heap corruption or a mutated ``Event.time``;
+        only then is the auditor called, to flag it.  Tracing is decided
+        once per call and records a dispatch span and a queue-depth sample.
         """
-        if self.auditor.enabled:
-            self._run_audited(until)
-            return
-        if self.tracer.enabled:
-            self._run_traced(until)
-            return
         global _total_executed
         heap = self._heap
+        tracer = self.tracer
+        traced = tracer.enabled
+        now = self.now  # local mirror: one compare per event, no attr load
         while heap:
             event = heap[0]
             if until is not None and event.time > until:
@@ -164,78 +163,21 @@ class Simulator:
             self._pending -= 1
             self.events_executed += 1
             _total_executed += 1
-            self.now = event.time
-            event.callback(*event.args)
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_traced(self, until: float | None) -> None:
-        """The ``run`` loop with dispatch spans and a queue-depth counter."""
-        global _total_executed
-        heap = self._heap
-        tracer = self.tracer
-        while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            event.sim = None
-            self._pending -= 1
-            self.events_executed += 1
-            _total_executed += 1
-            self.now = event.time
-            callback = event.callback
-            callback(*event.args)
-            # __qualname__ keeps the label deterministic; repr() of a bound
-            # method or partial would embed a memory address.
-            label = getattr(callback, "__qualname__", None) or type(callback).__name__
-            tracer.complete("sim.dispatch", event.time, self.now, callback=label)
-            tracer.counter("sim.queue_depth", self.now, float(self._pending))
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_audited(self, until: float | None) -> None:
-        """The ``run`` loop with a virtual-time monotonicity probe.
-
-        ``schedule()`` rejects negative delays, so a dispatch time behind
-        ``now`` can only come from a future bookkeeping regression (heap
-        corruption, a mutated ``Event.time``); the probe turns that from
-        silent causality violation into a flagged audit event.  Tracing,
-        when also active, emits the same records as :meth:`_run_traced`.
-        """
-        global _total_executed
-        heap = self._heap
-        tracer = self.tracer
-        auditor = self.auditor
-        traced = tracer.enabled
-        now = self.now  # local mirror: one compare per event, no attr load
-        while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            event.sim = None
-            self._pending -= 1
-            self.events_executed += 1
-            _total_executed += 1
             etime = event.time
             if etime < now:
-                auditor.flag(
+                self.auditor.flag(
                     "audit.sim.time_regression_s",
                     etime,
                     regression_s=now - etime,
                 )
-            now = etime
-            self.now = etime
-            callback = event.callback
-            callback(*event.args)
+            now = self.now = etime
+            event.callback(*event.args)
             if traced:
+                # __qualname__ keeps the label deterministic; repr() of a bound
+                # method or partial would embed a memory address.
+                callback = event.callback
                 label = getattr(callback, "__qualname__", None) or type(callback).__name__
-                tracer.complete("sim.dispatch", event.time, self.now, callback=label)
+                tracer.complete("sim.dispatch", etime, self.now, callback=label)
                 tracer.counter("sim.queue_depth", self.now, float(self._pending))
         if until is not None and self.now < until:
             self.now = until

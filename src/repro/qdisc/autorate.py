@@ -31,8 +31,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from repro import instruments
 from repro.qdisc.cake import CakeQueue
-from repro.trace import core as _trace
 
 if TYPE_CHECKING:
     from repro.net.link import Link
@@ -103,7 +103,7 @@ class AutorateController:
         self.dwell_s: dict[ShaperState, float] = {s: 0.0 for s in ShaperState}
         self.transitions = 0
         self.ticks = 0
-        self._tracer = _trace.current()
+        self._tracer = instruments.current().tracer
         sim.schedule(self.interval_s, self._tick)
 
     # -- the control loop ------------------------------------------------

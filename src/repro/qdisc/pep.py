@@ -28,7 +28,7 @@ deterministic as single-connection ones.
 
 from __future__ import annotations
 
-from repro.audit import core as audit
+from repro import instruments
 from repro.net.packet import Packet
 from repro.net.path import NetworkPath
 from repro.net.sim import Simulator
@@ -109,7 +109,7 @@ class PepRelay:
         self.sim = sim
         self.buffer_bytes = buffer_bytes
         self._config_rwnd_bytes = origin_path.config.rwnd_bytes
-        self._auditor = audit.current()
+        self._auditor = instruments.current().auditor
         self.ingress = PepIngress(sim, origin_path, flow_id, relay=self)
         self.origin = TcpSender(sim, origin_path, origin_cc, flow_id, transfer_bytes=transfer_bytes)
         self.egress = PepEgressSender(sim, egress_path, egress_cc, flow_id, relay=self)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace import core as trace
+from repro import instruments
 
 __all__ = ["HarqProcess", "HarqStats", "RETRANSMISSION_THRESHOLD"]
 
@@ -82,7 +82,7 @@ class HarqProcess:
         self.combining_gain = combining_gain
         self.threshold = threshold
         self._rng = rng
-        self._tracer = trace.current()
+        self._tracer = instruments.current().tracer
 
     @classmethod
     def for_generation(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import instruments
 from repro.core import vecmath as vm
-from repro.trace import core as trace
 
 __all__ = [
     "CQI_TABLE",
@@ -135,7 +135,7 @@ class LinkAdaptation:
     def for_sinr(cls, sinr_db: float) -> "LinkAdaptation":
         """Adapt to ``sinr_db``; CQI 0 maps to an unusable link."""
         cqi = cqi_from_sinr(sinr_db)
-        tracer = trace.current()
+        tracer = instruments.current().tracer
         if cqi == 0:
             tracer.counter("radio.mcs", None, -1.0)
             return cls(

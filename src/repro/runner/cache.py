@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.metrics import core as metrics
+from repro import instruments
 from repro.runner.instrument import RunRecord
 
 __all__ = ["DEFAULT_CACHE_DIR", "CacheEntry", "ResultCache", "source_hash"]
@@ -124,7 +124,7 @@ class ResultCache:
                 f"dropping corrupt cache entry {path}: {type(exc).__name__}: {exc}",
                 stacklevel=2,
             )
-            metrics.current().counter("cache.corrupt_dropped_count").inc()
+            instruments.current().registry.counter("cache.corrupt_dropped_count").inc()
             path.unlink(missing_ok=True)
             return None
 

@@ -137,7 +137,7 @@ def run_campaign(
                             f"warning: worker pid {stall['pid']} busy "
                             f"{stall['busy_s']:.0f}s on {stall['experiment']!r} "
                             f"(seed {stall['seed']}) — possible hang; see "
-                            f"`repro audit stalls {heartbeat_dir}`",
+                            f"`repro inspect show {heartbeat_dir}`",
                             file=sys.stderr,
                         )
                 for future in done:

@@ -26,13 +26,13 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
+from repro import instruments
 from repro.audit import core as audit
 from repro.audit.export import dump_basename, write_jsonl
 from repro.core import rng
-from repro.metrics import core as metrics
+from repro.metrics.core import MetricRegistry
 from repro.net import sim
 from repro.runner import profiling
-from repro.trace import core as trace
 from repro.trace.analysis import summarize
 
 try:
@@ -152,25 +152,30 @@ def instrumented_call(
     record reflects exactly the work done between entry and exit — including
     any simulators the experiment created internally.
 
-    Unless ``REPRO_NO_AUDIT=1``, the run executes under a per-run
-    :class:`repro.audit.Auditor`: components register conservation
-    ledgers at construction, residuals are asserted at the run-end
-    checkpoint, and ``audit.*`` KPIs are exported into the run's metric
-    registry.  A probe violation raises :class:`repro.audit.AuditError`
-    (the run *fails*); when the run raises — for any reason — the flight
-    recorder is dumped under ``$REPRO_AUDIT_DIR`` (if set) and a failure
-    :class:`RunRecord` plus the dump path are attached to the exception
-    for post-hoc debugging.  ``$REPRO_AUDIT_DUMP`` dumps every run,
-    violating or not (the determinism gate in CI).
+    The run executes under one :class:`repro.instruments.Instruments`
+    record: a fresh metric registry and, unless ``REPRO_NO_AUDIT=1``, a
+    fresh :class:`repro.audit.Auditor`, plus the caller's tracer and
+    profiler.  Components register conservation ledgers at construction,
+    residuals are asserted at the run-end checkpoint, and ``audit.*``
+    KPIs are exported into the run's metric registry.  A probe violation
+    raises :class:`repro.audit.AuditError` (the run *fails*); when the
+    run raises — for any reason — the flight recorder is dumped under
+    ``$REPRO_AUDIT_DIR`` (if set) and a failure :class:`RunRecord` plus
+    the dump path are attached to the exception for post-hoc debugging.
+    ``$REPRO_AUDIT_DUMP`` dumps every run, violating or not (the
+    determinism gate in CI).
     """
     sim_before = sim.global_counters()
     rng_before = rng.streams_drawn()
     rss_before = peak_rss_kib()
-    tracer = trace.current()
+    outer = instruments.current()
+    tracer = outer.tracer
     trace_before = summarize(tracer) if tracer.enabled else None
-    auditor = audit.install(audit.Auditor()) if audit.audits_enabled() else None
-    registry = metrics.install(metrics.MetricRegistry(origin=f"{experiment}:{seed}"))
-    collector = profiling.active()
+    registry = MetricRegistry(origin=f"{experiment}:{seed}")
+    auditor = audit.Auditor() if audit.audits_enabled() else None
+    # With audits off the run keeps the caller's auditor (normally the null one).
+    run_auditor = outer.auditor if auditor is None else auditor
+    collector = outer.profiler
     started = time.perf_counter()
 
     def make_record(
@@ -205,12 +210,22 @@ def instrumented_call(
             audit_dump_path=audit_dump_path,
         )
 
+    def attach_failure(exc: BaseException, wall: float, dump_path: str) -> None:
+        # Best-effort attach for post-hoc debugging; an exception type
+        # with __slots__ simply travels without the extras.
+        try:
+            exc.audit_dump_path = dump_path
+            exc.run_record = make_record(wall, traceback_module.format_exc(), dump_path)
+        except Exception:
+            pass
+
     try:
-        if collector is not None:
-            result, profile_top = profiling.profiled_call(experiment, collector, fn)
-        else:
-            result = fn()
-            profile_top = None
+        with instruments.using(registry=registry, auditor=run_auditor):
+            if collector is not None:
+                result, profile_top = profiling.profiled_call(experiment, collector, fn)
+            else:
+                result = fn()
+                profile_top = None
     except Exception as exc:
         profile_top = None
         if auditor is not None:
@@ -222,23 +237,10 @@ def instrumented_call(
             dump_path = (
                 _audit_dump(auditor, experiment, seed, dump_dir) if dump_dir else ""
             )
-            # Best-effort attach for post-hoc debugging; an exception type
-            # with __slots__ simply travels without the extras.
-            try:
-                exc.audit_dump_path = dump_path
-                exc.run_record = make_record(
-                    time.perf_counter() - started,
-                    failure_traceback=traceback_module.format_exc(),
-                    audit_dump_path=dump_path,
-                )
-            except Exception:
-                pass
+            attach_failure(exc, time.perf_counter() - started, dump_path)
         raise
     finally:
         wall = time.perf_counter() - started
-        metrics.uninstall(registry)
-        if auditor is not None:
-            audit.uninstall(auditor)
     if auditor is not None:
         auditor.checkpoint("run-end")
         dump_dir = os.environ.get("REPRO_AUDIT_DUMP", "")
@@ -251,15 +253,7 @@ def instrumented_call(
             try:
                 auditor.assert_clean(f"{experiment} seed {seed}", dump_path)
             except audit.AuditError as error:
-                try:
-                    error.audit_dump_path = dump_path
-                    error.run_record = make_record(
-                        wall,
-                        failure_traceback=traceback_module.format_exc(),
-                        audit_dump_path=dump_path,
-                    )
-                except Exception:
-                    pass
+                attach_failure(error, wall, dump_path)
                 raise
         auditor.export_kpis(registry)
     record = make_record(wall)

@@ -1,15 +1,15 @@
-"""Campaign profiling: cProfile collection behind an install stack.
+"""Campaign profiling: cProfile collection for ``repro run --profile``.
 
-``repro run --profile PATH`` installs a :class:`ProfileCollector`; while
-one is active, :func:`repro.runner.instrument.instrumented_call` wraps
-each experiment in its own ``cProfile.Profile``, attaches the run's top-N
-hot functions to the :class:`~repro.runner.instrument.RunRecord`
-(``profile_top``), and feeds the raw profile back here so the CLI can
-dump one combined ``pstats`` file for the whole campaign.
+``repro run --profile PATH`` installs a :class:`ProfileCollector` as the
+``profiler`` of :func:`repro.instruments.current`; while one is active,
+:func:`repro.runner.instrument.instrumented_call` wraps each experiment
+in its own ``cProfile.Profile``, attaches the run's top-N hot functions
+to the :class:`~repro.runner.instrument.RunRecord` (``profile_top``),
+and feeds the raw profile back here so the CLI can dump one combined
+``pstats`` file for the whole campaign.
 
 Profiling forces a serial, cache-bypassing campaign (like ``--trace``):
 cProfile state is per-process and a cache hit would profile nothing.
-The install stack mirrors ``repro.trace`` so nesting in tests is safe.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from repro.core.results import ResultTable
 __all__ = [
     "DEFAULT_TOP_N",
     "ProfileCollector",
-    "active",
-    "install",
     "profiled_call",
     "top_functions",
-    "uninstall",
 ]
 
 DEFAULT_TOP_N = 15
@@ -115,30 +112,6 @@ class ProfileCollector:
                 ]
             )
         return table
-
-
-# Stack of installed collectors; the top is what `active()` returns.
-_installed: list[ProfileCollector] = []
-
-
-def active() -> ProfileCollector | None:
-    """The collector profiled runs should report to, if any."""
-    return _installed[-1] if _installed else None
-
-
-def install(collector: ProfileCollector) -> ProfileCollector:
-    """Make ``collector`` the active profiling sink until :func:`uninstall`."""
-    _installed.append(collector)
-    return collector
-
-
-def uninstall(collector: ProfileCollector | None = None) -> None:
-    """Pop the active collector (validating it is ``collector`` when given)."""
-    if not _installed:
-        raise RuntimeError("no profile collector installed")
-    if collector is not None and _installed[-1] is not collector:
-        raise RuntimeError("uninstall out of order: a different collector is active")
-    _installed.pop()
 
 
 def profiled_call(experiment: str, collector: ProfileCollector, fn):

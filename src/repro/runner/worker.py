@@ -8,7 +8,7 @@ fresh result, and ships (result, record) back to the coordinator.
 When ``$REPRO_AUDIT_DIR`` is set, workers also maintain a *heartbeat
 file* (``hb-<pid>.json``) around each run: start stamp when the run
 begins, finish stamp when it ends.  The coordinator's stall watchdog
-(:func:`scan_stalls`, surfaced via ``repro audit stalls`` and the
+(:func:`scan_stalls`, surfaced via ``repro inspect show DIR`` and the
 parallel campaign loop) reads those files to tell a slow campaign from a
 hung worker.  Stamps are ``time.monotonic()`` — they order events within
 one machine boot, never leave the machine, and are kept out of every

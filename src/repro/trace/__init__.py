@@ -2,12 +2,12 @@
 
 Quick start::
 
-    from repro import trace
+    from repro import instruments, trace
 
-    with trace.tracing() as tracer:
+    with instruments.using(tracer=trace.Tracer()) as active:
         result = fig6.run(seed=7)
-    handoffs = tracer.spans(prefix="handoff:")
-    trace.write_chrome(tracer, "fig6.trace.json")
+    handoffs = active.tracer.spans(prefix="handoff:")
+    trace.write_chrome(active.tracer, "fig6.trace.json")
 
 See :mod:`repro.trace.core` for the recording model and
 :mod:`repro.trace.export` for the on-disk formats.
@@ -22,10 +22,6 @@ from repro.trace.core import (
     SpanRecord,
     TraceStats,
     Tracer,
-    current,
-    install,
-    tracing,
-    uninstall,
 )
 from repro.trace.export import (
     load_trace,
@@ -43,17 +39,13 @@ __all__ = [
     "SpanRecord",
     "TraceStats",
     "Tracer",
-    "current",
     "diff_traces",
-    "install",
     "load_trace",
     "summarize",
     "summary_dict",
     "summary_table",
     "to_chrome",
     "to_jsonl_lines",
-    "tracing",
-    "uninstall",
     "write_chrome",
     "write_jsonl",
 ]

@@ -1,6 +1,6 @@
 """Aggregation over traces: per-name summaries and trace-to-trace diffs.
 
-These power ``repro trace summary`` / ``repro trace diff`` and the optional
+These power ``repro inspect show|diff`` on traces and the optional
 ``RunRecord.trace_summary`` payload.  Everything here works on the query
 API only, so it applies equally to a live :class:`~repro.trace.core.Tracer`
 and to one re-loaded from disk.

@@ -15,15 +15,14 @@ clock (link adaptation, HARQ) pass ``time_s=None`` and get a deterministic
 per-series sample index instead.
 
 The disabled path is as close to free as Python allows: instrumented code
-holds a reference to the *current* tracer (looked up once, at component
-construction) and either checks one ``enabled`` attribute or calls a no-op
-method on the module-level :data:`NULL_TRACER`.  Hot loops branch once per
-loop entry, not per event (see ``Simulator.run``).
+holds the tracer of :func:`repro.instruments.current` (looked up once, at
+component construction) and either checks one ``enabled`` attribute or
+calls a no-op method on the module-level :data:`NULL_TRACER`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 __all__ = [
@@ -35,10 +34,6 @@ __all__ = [
     "SpanRecord",
     "TraceStats",
     "Tracer",
-    "current",
-    "install",
-    "tracing",
-    "uninstall",
 ]
 
 #: Default ring-buffer capacity (records).  Large enough for a full fig6
@@ -163,34 +158,6 @@ class Tracer:
         self._counter_samples_emitted = 0
         self._counter_index: dict[str, int] = {}
         self._counter_totals: dict[str, float] = {}
-        self._metrics_sink: Any = None
-        self._metric_prefix = "trace"
-        self._metric_names: dict[str, str] = {}
-
-    def feed_metrics(self, registry: Any, prefix: str = "trace") -> None:
-        """Mirror counter samples into a metric registry's quantile sketches.
-
-        ``registry`` is duck-typed: anything whose ``quantile(name)``
-        returns an object with ``observe(value)`` works — a
-        :class:`repro.metrics.MetricRegistry`, the null registry, or a
-        test double.  Unlike the bounded ring buffer, the sketches never
-        evict, so long counter series keep their full distribution.
-        Counter names are mapped to ``<prefix>.<name>`` with characters
-        outside ``[a-z0-9_.]`` folded to ``_``.  Pass ``None`` to detach.
-        """
-        self._metrics_sink = registry
-        self._metric_names.clear()
-        if registry is not None:
-            self._metric_prefix = prefix
-
-    def _metric_name(self, name: str) -> str:
-        cached = self._metric_names.get(name)
-        if cached is None:
-            from repro.metrics.core import fold_metric_name
-
-            cached = fold_metric_name(name, prefix=self._metric_prefix)
-            self._metric_names[name] = cached
-        return cached
 
     # ------------------------------------------------------------------ emit
     def _append(self, record: Any) -> None:
@@ -237,9 +204,6 @@ class Tracer:
             time_s = float(index)
         self._counter_samples_emitted += 1
         self._append(CounterRecord(name, time_s, float(value)))
-        sink = self._metrics_sink
-        if sink is not None:
-            sink.quantile(self._metric_name(name)).observe(float(value))
 
     def bump(self, name: str, time_s: float | None, delta: float = 1.0) -> None:
         """Increment a monotone counter by ``delta`` and sample the new total."""
@@ -312,17 +276,14 @@ class Tracer:
 class NullTracer:
     """The disabled tracer: every method is a no-op.
 
-    Instrumented components capture :func:`current` once at construction;
-    when no tracer is installed they hold this singleton and every hook
-    collapses to one attribute load (``enabled``) or one no-op call.
+    It is the ``tracer`` of an :class:`repro.instruments.Instruments`
+    record unless a run overrides it; every hook collapses to one
+    attribute load (``enabled``) or one no-op call.
     """
 
     enabled = False
 
     __slots__ = ()
-
-    def feed_metrics(self, registry: Any, prefix: str = "trace") -> None:
-        pass
 
     def complete(self, name: str, begin_s: float, end_s: float, **args: Any) -> None:
         pass
@@ -387,49 +348,3 @@ class _NullSpanContext:
 NULL_TRACER = NullTracer()
 _NULL_HANDLE = _NullSpanHandle()
 _NULL_CONTEXT = _NullSpanContext()
-
-# Stack of installed tracers; the top is what `current()` returns.  A stack
-# (rather than a single slot) lets tests nest `tracing()` blocks safely.
-_installed: list[Any] = [NULL_TRACER]
-
-
-def current() -> Tracer | NullTracer:
-    """The active tracer (:data:`NULL_TRACER` when tracing is disabled)."""
-    return _installed[-1]
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the active tracer until :func:`uninstall`."""
-    _installed.append(tracer)
-    return tracer
-
-
-def uninstall(tracer: Tracer | None = None) -> None:
-    """Pop the active tracer (validating it is ``tracer`` when given)."""
-    if len(_installed) == 1:
-        raise RuntimeError("no tracer installed")
-    if tracer is not None and _installed[-1] is not tracer:
-        raise RuntimeError("uninstall out of order: a different tracer is active")
-    _installed.pop()
-
-
-@dataclass
-class tracing:
-    """Context manager installing a tracer for the duration of a block.
-
-    Example:
-        >>> with tracing() as tracer:
-        ...     current() is tracer
-        True
-    """
-
-    tracer: Tracer | None = None
-    capacity: int = DEFAULT_CAPACITY
-    _active: Tracer = field(init=False, repr=False)
-
-    def __enter__(self) -> Tracer:
-        self._active = self.tracer if self.tracer is not None else Tracer(self.capacity)
-        return install(self._active)
-
-    def __exit__(self, *exc: Any) -> None:
-        uninstall(self._active)

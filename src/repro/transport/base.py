@@ -14,11 +14,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from repro.audit import core as audit
+from repro import instruments
 from repro.net.packet import ACK, DATA, Packet
 from repro.net.path import NetworkPath
 from repro.net.sim import Event, Simulator
-from repro.trace import core as trace
 
 __all__ = ["CongestionControl", "TcpSender", "TcpReceiver", "TcpConnection", "FlowStats"]
 
@@ -49,7 +48,7 @@ class CongestionControl(ABC):
         self.rate_scale = rate_scale
         self.cwnd_bytes: float = _INITIAL_CWND_SEGMENTS * mss_bytes
         self.ssthresh_bytes: float = float("inf")
-        self.tracer = trace.current()
+        self.tracer = instruments.current().tracer
 
     @property
     def pacing_rate_bps(self) -> float | None:
@@ -201,8 +200,9 @@ class TcpSender:
         self._send_log: dict[int, tuple[float, int]] = {}  # seq -> (time, delivered)
 
         self.stats = FlowStats()
-        self._tracer = trace.current()
-        self._auditor = audit.current()
+        active = instruments.current()
+        self._tracer = active.tracer
+        self._auditor = active.auditor
         if self._auditor.enabled:
             self._register_audit()
         path.on_reverse_delivery(self._on_ack)

@@ -15,3 +15,4 @@ def publish(registry, latencies, tag):
     bump_kpi("fig0.events_count")
     registry.gauge("fig0.energy.t5_nj")
     registry.quantile(f"fig0.rtt.{tag}.paths_ms")
+    instruments.current().registry.gauge("fig0.energy.t6_nj")

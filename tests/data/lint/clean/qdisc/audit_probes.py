@@ -18,3 +18,4 @@ class AccountedCodel:
 
     def record_drop(self) -> None:
         self.drops += 1
+        instruments.current().auditor.note("audit.codel.drop_count", 0.0)

@@ -14,3 +14,4 @@ def publish(registry, latencies, tag):
     bump_kpi("fig0.events")
     registry.gauge("fig0.energy.t5")
     registry.quantile(f"fig0.rtt.{tag}.paths")
+    instruments.current().registry.gauge("fig0.energy.t6")

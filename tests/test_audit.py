@@ -1,4 +1,4 @@
-"""Tests for repro.audit: ledgers, probes, flight recorder, CLI, watchdog.
+"""Tests for repro.audit: ledgers, probes, flight recorder, inspect CLI, watchdog.
 
 The integration tests lean on the cheapest DES experiments that build
 fresh links/transports per run (fig11, and fig7/remedy-comparison at
@@ -12,25 +12,23 @@ import time
 
 import pytest
 
+from repro import instruments
 from repro.audit import (
     NULL_AUDITOR,
     AuditError,
     Auditor,
-    auditing,
+    NullAuditor,
     audits_enabled,
-    current,
     diff_audits,
     dump_basename,
-    install,
     load_audit,
     summary_table,
-    uninstall,
     violations_table,
     write_jsonl,
 )
 from repro.cli import main
 from repro.experiments.registry import EXPERIMENTS
-from repro.metrics.core import collecting, fold_metric_name
+from repro.metrics.core import MetricRegistry, fold_metric_name
 from repro.net import Packet
 from repro.qdisc import CakeQueue, CoDelQueue, FqCodelQueue
 from repro.runner import ExperimentFailure, execute_experiment, run_campaign, scan_stalls
@@ -119,44 +117,56 @@ class TestAuditorCore:
 
     def test_export_kpis_silent_without_activity(self):
         auditor = Auditor()
-        with collecting() as registry:
-            auditor.export_kpis(registry)
+        registry = MetricRegistry()
+        auditor.export_kpis(registry)
         assert registry.snapshot()["metrics"] == {}
 
     def test_export_kpis_publishes_counts_and_ledgers(self):
         auditor = Auditor()
         auditor.watch("audit.test.residual_pkts", lambda: 2.0)
         auditor.checkpoint("run-end")
-        with collecting() as registry:
-            auditor.export_kpis(registry)
+        registry = MetricRegistry()
+        auditor.export_kpis(registry)
         assert registry.counter("audit.checks_count").value == 1.0
         assert registry.counter("audit.violations_count").value == 1.0
         assert registry.gauge("audit.test.residual_pkts").value == 2.0
 
 
+def _auditor() -> Auditor | NullAuditor:
+    return instruments.current().auditor
+
+
 class TestInstallStack:
+    """The auditor field of the one :mod:`repro.instruments` stack."""
+
     def test_default_is_null_auditor(self):
-        assert current() is NULL_AUDITOR
-        assert not current().enabled
-        assert current().probe("audit.x.bounds_pkts", False, 0.0) is False
-        assert current().checkpoint("end") == {}
+        assert _auditor() is NULL_AUDITOR
+        assert not _auditor().enabled
+        assert _auditor().probe("audit.x.bounds_pkts", False, 0.0) is False
+        assert _auditor().checkpoint("end") == {}
 
     def test_install_uninstall_validation(self):
-        auditor = install(Auditor())
-        assert current() is auditor
-        with pytest.raises(RuntimeError, match="different auditor"):
-            uninstall(Auditor())
-        uninstall(auditor)
-        assert current() is NULL_AUDITOR
-        with pytest.raises(RuntimeError, match="no auditor installed"):
-            uninstall()
+        auditor = Auditor()
+        installed = instruments.using(auditor=auditor)
+        assert installed.__enter__().auditor is auditor
+        assert _auditor() is auditor
+        with pytest.raises(RuntimeError, match="different record"):
+            instruments.using(auditor=Auditor()).__exit__(None, None, None)
+        installed.__exit__(None, None, None)
+        assert _auditor() is NULL_AUDITOR
+        with pytest.raises(RuntimeError, match="out of order"):
+            installed.__exit__(None, None, None)
+        with pytest.raises(TypeError):
+            instruments.using(audit=Auditor()).__enter__()  # misspelt field
+        assert _auditor() is NULL_AUDITOR
 
     def test_auditing_context_nests(self):
-        with auditing() as outer:
-            with auditing() as inner:
-                assert current() is inner
-            assert current() is outer
-        assert current() is NULL_AUDITOR
+        outer, inner = Auditor(), Auditor()
+        with instruments.using(auditor=outer):
+            with instruments.using(auditor=inner):
+                assert _auditor() is inner
+            assert _auditor() is outer
+        assert _auditor() is NULL_AUDITOR
 
     def test_audits_enabled_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
@@ -319,7 +329,8 @@ class TestOccupancyResidual:
 
 class TestLedgersOnRealRuns:
     def test_fig11_ledgers_all_zero(self):
-        with auditing() as auditor:
+        auditor = Auditor()
+        with instruments.using(auditor=auditor):
             EXPERIMENTS["fig11"].run(7)
             totals = auditor.checkpoint("run-end")
         assert totals, "fig11 registered no conservation ledgers"
@@ -329,7 +340,8 @@ class TestLedgersOnRealRuns:
         assert any(name.startswith("audit.link.") for name in totals)
 
     def test_audited_vs_unaudited_fig7_byte_identical(self):
-        with auditing() as auditor:
+        auditor = Auditor()
+        with instruments.using(auditor=auditor):
             audited = EXPERIMENTS["fig7"].run(7, duration_s=1.0)
             auditor.checkpoint("run-end")
         assert auditor.violation_count == 0
@@ -337,7 +349,8 @@ class TestLedgersOnRealRuns:
         assert pickle.dumps(audited) == pickle.dumps(plain)
 
     def test_audited_vs_unaudited_remedy_comparison_byte_identical(self):
-        with auditing() as auditor:
+        auditor = Auditor()
+        with instruments.using(auditor=auditor):
             audited = EXPERIMENTS["remedy-comparison"].run(7, duration_s=1.5)
             auditor.checkpoint("run-end")
         assert auditor.violation_count == 0
@@ -381,9 +394,9 @@ class TestFlightRecorderOnFailure:
         assert violations, "the leak produced no recorded violations"
         assert any("queue_residual" in v.name for v in violations)
         # The dump is readable by the operator-facing CLI.
-        assert main(["audit", "show", failure.audit_dump_path]) == 0
+        assert main(["inspect", "show", failure.audit_dump_path]) == 0
         assert "queue_residual" in capsys.readouterr().out
-        assert main(["audit", "show", failure.audit_dump_path, "--violations"]) == 0
+        assert main(["inspect", "show", failure.audit_dump_path, "--violations"]) == 0
 
     def test_instrumented_call_attaches_failure_artifacts(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
@@ -463,15 +476,21 @@ class TestHeartbeats:
 
 
 class TestAuditCli:
+    """``repro inspect`` on flight-recorder dumps and heartbeat directories."""
+
     def test_show_missing_file_exits_1(self, capsys):
-        assert main(["audit", "show", "no/such/file.jsonl"]) == 1
+        assert main(["inspect", "show", "no/such/file.jsonl"]) == 1
         assert "no such file" in capsys.readouterr().err
 
     def test_show_malformed_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("")
-        assert main(["audit", "show", str(bad)]) == 1
-        assert "empty audit file" in capsys.readouterr().err
+        assert main(["inspect", "show", str(bad)]) == 1
+        assert "empty file" in capsys.readouterr().err
+        header = '{"kind": "header", "tool": "repro.audit", "schema_version": 1}'
+        bad.write_text(header + '\n{"kind": "note", "name"')
+        assert main(["inspect", "show", str(bad)]) == 1
+        assert "truncated or malformed audit JSONL" in capsys.readouterr().err
 
     def test_diff_exit_codes(self, capsys, tmp_path):
         a = Auditor()
@@ -481,20 +500,20 @@ class TestAuditCli:
         path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_jsonl(a, str(path_a))
         write_jsonl(b, str(path_b))
-        assert main(["audit", "diff", str(path_a), str(path_a)]) == 0
+        assert main(["inspect", "diff", str(path_a), str(path_a)]) == 0
         capsys.readouterr()
-        assert main(["audit", "diff", str(path_a), str(path_b)]) == 1
+        assert main(["inspect", "diff", str(path_a), str(path_b)]) == 1
 
     def test_stalls_exit_codes(self, capsys, tmp_path):
-        assert main(["audit", "stalls", str(tmp_path / "missing")]) == 1
-        assert "no heartbeat directory" in capsys.readouterr().err
-        assert main(["audit", "stalls", str(tmp_path)]) == 0
+        assert main(["inspect", "show", str(tmp_path / "missing")]) == 1
+        assert "no such file or directory" in capsys.readouterr().err
+        assert main(["inspect", "show", str(tmp_path)]) == 0
         assert "no stalled workers" in capsys.readouterr().out
         (tmp_path / "hb-11.json").write_text(json.dumps(
             {"pid": 11, "experiment": "fig7", "seed": 7,
              "started_mono_s": time.monotonic() - 500.0, "finished_mono_s": 0.0}
         ))
-        assert main(["audit", "stalls", str(tmp_path), "--stall-timeout", "300"]) == 1
+        assert main(["inspect", "show", str(tmp_path), "--stall-timeout", "300"]) == 1
         assert "stalled on 'fig7'" in capsys.readouterr().out
 
 

@@ -143,6 +143,8 @@ class TestTraceFlag:
 
 
 class TestTraceCommand:
+    """``repro inspect`` on trace files, and its kind detection."""
+
     def _write_trace(self, path):
         from repro.trace import Tracer, write_jsonl
 
@@ -154,7 +156,7 @@ class TestTraceCommand:
     def test_summary(self, tmp_path, capsys):
         trace_file = tmp_path / "t.jsonl"
         self._write_trace(trace_file)
-        assert main(["trace", "summary", str(trace_file)]) == 0
+        assert main(["inspect", "show", str(trace_file)]) == 0
         out = capsys.readouterr().out
         assert "ho.phase:rrc" in out
         assert "sim.queue_depth" in out
@@ -163,15 +165,18 @@ class TestTraceCommand:
         trace_file = tmp_path / "t.jsonl"
         out_file = tmp_path / "t.json"
         self._write_trace(trace_file)
-        assert main(["trace", "export", str(trace_file), str(out_file)]) == 0
+        assert main(["inspect", "export", str(trace_file), str(out_file)]) == 0
         assert "trace event(s)" in capsys.readouterr().out
         assert isinstance(json.loads(out_file.read_text())["traceEvents"], list)
+        # The Chrome document is recognised as a trace too.
+        assert main(["inspect", "show", str(out_file)]) == 0
+        assert "ho.phase:rrc" in capsys.readouterr().out
 
     def test_diff_identical_exits_zero(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         self._write_trace(a)
         self._write_trace(b)
-        assert main(["trace", "diff", str(a), str(b)]) == 0
+        assert main(["inspect", "diff", str(a), str(b)]) == 0
         assert "(identical)" in capsys.readouterr().out
 
     def test_diff_divergent_exits_one(self, tmp_path, capsys):
@@ -182,25 +187,60 @@ class TestTraceCommand:
         other = Tracer()
         other.complete("ho.phase:rrc", 1.0, 1.9, kind="5G-5G")
         write_jsonl(other, str(b))
-        assert main(["trace", "diff", str(a), str(b)]) == 1
+        assert main(["inspect", "diff", str(a), str(b)]) == 1
         assert "span total (ms)" in capsys.readouterr().out
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
-        assert main(["trace", "summary", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["inspect", "show", str(tmp_path / "nope.jsonl")]) == 1
         assert "no such file" in capsys.readouterr().err
 
     def test_empty_file_fails_with_message(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["trace", "summary", str(empty)]) == 1
-        assert "empty trace file" in capsys.readouterr().err
+        assert main(["inspect", "show", str(empty)]) == 1
+        assert "empty file" in capsys.readouterr().err
+        empty.write_text("\n  \n")
+        assert main(["inspect", "export", str(empty), str(tmp_path / "out.json")]) == 1
+        assert "empty file" in capsys.readouterr().err
 
     def test_truncated_file_fails_with_message(self, tmp_path, capsys):
         trunc = tmp_path / "trunc.jsonl"
         good = '{"kind": "header", "tool": "repro.trace", "schema_version": 1}'
         trunc.write_text(good + '\n{"kind": "span", "name"')
-        assert main(["trace", "diff", str(trunc), str(trunc)]) == 1
-        assert "truncated or malformed" in capsys.readouterr().err
+        assert main(["inspect", "diff", str(trunc), str(trunc)]) == 1
+        assert "truncated or malformed trace JSONL" in capsys.readouterr().err
+        chrome = tmp_path / "trunc.json"
+        chrome.write_text('{"displayTimeUnit":"ms","traceEvents":[{"ph":"X"')
+        assert main(["inspect", "show", str(chrome)]) == 1
+        assert "truncated or malformed trace JSON" in capsys.readouterr().err
+
+    def test_unrecognised_artifacts_fail_with_message(self, tmp_path, capsys):
+        stray = tmp_path / "notes.json"
+        stray.write_text('{"hello": "world"}\n')
+        assert main(["inspect", "show", str(stray)]) == 1
+        assert "not a repro artifact" in capsys.readouterr().err
+        trace_file, metrics_file = tmp_path / "t.jsonl", tmp_path / "m.jsonl"
+        self._write_trace(trace_file)
+        metrics_file.write_text(
+            '{"kind": "header", "metrics": 0, "schema_version": 1, "tool": "repro.metrics"}\n'
+        )
+        assert main(["inspect", "diff", str(trace_file), str(metrics_file)]) == 1
+        assert "cannot diff" in capsys.readouterr().err
+        assert main(["inspect", "diff", str(tmp_path), str(tmp_path)]) == 1
+        assert "cannot diff" in capsys.readouterr().err
+        audit_file = tmp_path / "a.audit.jsonl"
+        audit_file.write_text('{"kind": "header", "schema_version": 1, "tool": "repro.audit"}\n')
+        assert main(["inspect", "export", str(audit_file), str(tmp_path / "x")]) == 1
+        assert "no export format" in capsys.readouterr().err
+
+    def test_artifact_kind_reads_the_header_not_the_name(self, tmp_path):
+        from repro.inspection import artifact_kind
+
+        for tool, kind in (("trace", "trace"), ("metrics", "metrics"), ("audit", "audit")):
+            path = tmp_path / f"misnamed-{tool}.txt"
+            path.write_text(json.dumps({"kind": "header", "tool": f"repro.{tool}"}) + "\n")
+            assert artifact_kind(str(path)) == kind
+        assert artifact_kind(str(tmp_path)) == "heartbeats"
 
 
 class TestRunObservability:
@@ -220,7 +260,7 @@ class TestRunObservability:
         path = tmp_path / "m.jsonl"
         assert main(["run", "fig13", "--no-cache", "--metrics", str(path)]) == 0
         capsys.readouterr()
-        assert main(["metrics", "show", str(path)]) == 0
+        assert main(["inspect", "show", str(path)]) == 0
         assert "fig13.rtt_gap.mean_ms" in capsys.readouterr().out
 
     def test_metrics_header_carries_campaign_meta(self, tmp_path, capsys):

@@ -42,6 +42,7 @@ EXPECTED_DIRTY = [
     ("REP006", "kpis.py", 14),  # counter without _count suffix
     ("REP006", "kpis.py", 15),  # registry accessor without suffix
     ("REP006", "kpis.py", 16),  # f-string name with unsuffixed tail
+    ("REP006", "kpis.py", 17),  # instruments.current().registry without suffix
     ("REP007", "deployment.py", 7),  # from repro.core.config import LTE_PROFILE
     ("REP007", "deployment.py", 7),  # ... and NR_PROFILE on the same line
     ("REP007", "deployment.py", 8),  # from repro.core import DEFAULT_HANDOFF_CONFIG
@@ -64,6 +65,7 @@ EXPECTED_DIRTY = [
     ("REP012", "audit_probes.py", 12),  # dash and uppercase in event name
     ("REP012", "audit_probes.py", 13),  # event name without unit suffix
     ("REP012", "audit_probes.py", 16),  # _audit_* probe helper mutating state
+    ("REP012", "audit_probes.py", 20),  # instruments.current().auditor outside audit.
     ("REP013", "generator.py", 7),  # bare 'pitch' generator parameter
     ("REP013", "generator.py", 7),  # bare 'jitter' generator parameter
     ("REP013", "generator.py", 8),  # RngFactory(7) minted inside a generator
@@ -107,8 +109,8 @@ class TestFixtures:
         result = lint_paths([DIRTY], root=REPO_ROOT)
         assert result.counts == {
             "REP001": 3, "REP002": 2, "REP003": 3, "REP004": 2, "REP005": 2,
-            "REP006": 6, "REP007": 4, "REP008": 3, "REP009": 4, "REP010": 3,
-            "REP011": 4, "REP012": 4, "REP013": 4,
+            "REP006": 7, "REP007": 4, "REP008": 3, "REP009": 4, "REP010": 3,
+            "REP011": 4, "REP012": 5, "REP013": 4,
         }
 
     def test_file_pass_only_skips_project_rules(self):
@@ -306,7 +308,7 @@ class TestCli:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", str(DIRTY), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "replint: 44 new violation(s)" in out
+        assert "replint: 46 new violation(s)" in out
 
     def test_clean_fixture_passes(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -322,8 +324,8 @@ class TestCli:
         assert payload["files_scanned"] == FIXTURE_FILES
         assert payload["counts"] == {
             "REP001": 3, "REP002": 2, "REP003": 3, "REP004": 2, "REP005": 2,
-            "REP006": 6, "REP007": 4, "REP008": 3, "REP009": 4, "REP010": 3,
-            "REP011": 4, "REP012": 4, "REP013": 4,
+            "REP006": 7, "REP007": 4, "REP008": 3, "REP009": 4, "REP010": 3,
+            "REP011": 4, "REP012": 5, "REP013": 4,
         }
         assert payload["baselined_count"] == 0
         assert payload["exit_code"] == 1
@@ -343,11 +345,11 @@ class TestCli:
         assert main(
             ["lint", str(DIRTY), "--write-baseline", "--baseline", str(baseline_path)]
         ) == 0
-        assert "wrote 44 grandfathered violation(s)" in capsys.readouterr().out
+        assert "wrote 46 grandfathered violation(s)" in capsys.readouterr().out
         written = json.loads(baseline_path.read_text())
         assert written["schema_version"] == BASELINE_SCHEMA_VERSION
         assert main(["lint", str(DIRTY), "--baseline", str(baseline_path)]) == 0
-        assert "44 baselined" in capsys.readouterr().out
+        assert "46 baselined" in capsys.readouterr().out
 
     def test_missing_path_exits_2(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro import instruments
 from repro.cli import main
 from repro.core.rng import RngFactory
 from repro.experiments.registry import EXPERIMENTS
@@ -22,8 +23,6 @@ from repro.metrics import (
     P2Quantile,
     ReservoirQuantile,
     Welford,
-    collecting,
-    current,
     diff_snapshots,
     load_snapshot,
     merge_snapshots,
@@ -147,9 +146,13 @@ class TestRegistry:
         assert names == {"x.zero_count"}
 
     def test_ambient_stack_and_null_registry(self):
+        def current():
+            return instruments.current().registry
+
         assert current() is NULL_REGISTRY
         current().gauge("ignored.value_ms").set(1.0)  # absorbed, no error
-        with collecting(origin="t") as reg:
+        reg = MetricRegistry(origin="t")
+        with instruments.using(registry=reg):
             assert current() is reg
             current().counter("t.hits_count").inc()
         assert current() is NULL_REGISTRY
@@ -259,6 +262,8 @@ class TestExport:
 
 
 class TestMetricsCli:
+    """``repro inspect`` on metrics snapshots."""
+
     def _export(self, tmp_path):
         path = tmp_path / "m.jsonl"
         reg = MetricRegistry(origin="exp:7")
@@ -268,30 +273,35 @@ class TestMetricsCli:
 
     def test_show_and_export(self, tmp_path, capsys):
         path = self._export(tmp_path)
-        assert main(["metrics", "show", str(path)]) == 0
+        assert main(["inspect", "show", str(path)]) == 0
         assert "c.headline_ms" in capsys.readouterr().out
         out = tmp_path / "m.prom"
-        assert main(["metrics", "export", str(path), str(out)]) == 0
+        assert main(["inspect", "export", str(path), str(out)]) == 0
+        assert "exposition line(s)" in capsys.readouterr().out
         assert "c_headline_ms 1.5" in out.read_text()
 
     def test_diff_exit_codes(self, tmp_path, capsys):
         path = self._export(tmp_path)
-        assert main(["metrics", "diff", str(path), str(path)]) == 0
+        assert main(["inspect", "diff", str(path), str(path)]) == 0
         other = tmp_path / "n.jsonl"
         reg = MetricRegistry(origin="exp:8")
         reg.gauge("c.headline_ms").set(9.9)
         write_jsonl(merge_snapshots([reg.snapshot()]), str(other))
-        assert main(["metrics", "diff", str(path), str(other)]) == 1
-        assert main(["metrics", "diff", str(path), str(other), "--tolerance", "10"]) == 0
-        capsys.readouterr()
+        assert main(["inspect", "diff", str(path), str(other)]) == 1
+        assert main(["inspect", "diff", str(path), str(other), "--tolerance", "10"]) == 0
+        assert "(identical within tolerance)" in capsys.readouterr().out
 
     def test_load_failures_exit_1(self, tmp_path, capsys):
-        assert main(["metrics", "show", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["inspect", "show", str(tmp_path / "nope.jsonl")]) == 1
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["metrics", "show", str(empty)]) == 1
+        assert main(["inspect", "show", str(empty)]) == 1
         err = capsys.readouterr().err
-        assert "no such file" in err and "empty metrics file" in err
+        assert "no such file" in err and "empty file" in err
+        header = '{"kind": "header", "tool": "repro.metrics", "schema_version": 1}'
+        empty.write_text(header + '\n{"kind": "gauge"')
+        assert main(["inspect", "show", str(empty)]) == 1
+        assert "truncated or malformed metrics JSONL" in capsys.readouterr().err
 
 
 class TestCampaignMergeProperty:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import instruments
 from repro.core import LTE_PROFILE, NR_PROFILE
 from repro.net import (
     CrossTraffic,
@@ -224,9 +225,10 @@ class TestSimulatorTracing:
         assert not Simulator().tracer.enabled
 
     def test_traced_run_records_dispatch_spans_and_queue_depth(self):
-        from repro.trace import Tracer, tracing
+        from repro.trace import Tracer
 
-        with tracing(Tracer()) as tracer:
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
             sim = Simulator()
             order = []
             sim.schedule(1.0, order.append, "a")
@@ -240,7 +242,7 @@ class TestSimulatorTracing:
         assert depths == [(1.0, 1.0), (2.0, 0.0)]
 
     def test_traced_and_untraced_runs_agree(self):
-        from repro.trace import Tracer, tracing
+        from repro.trace import Tracer
 
         def drive(sim):
             out = []
@@ -253,7 +255,7 @@ class TestSimulatorTracing:
             return out, sim.now, sim.counters()
 
         plain = drive(Simulator())
-        with tracing(Tracer()):
+        with instruments.using(tracer=Tracer()):
             traced = drive(Simulator())
         assert plain == traced
 
@@ -323,6 +325,22 @@ class TestLink:
             link.send(Packet(1, "data", 100))
         assert link.queue.drops >= 3
         assert len(link.dropped_packets) == link.queue.drops
+
+    def test_enlarged_queue_audits_against_the_new_capacity(self):
+        from repro.audit import Auditor
+
+        auditor = Auditor()
+        with instruments.using(auditor=auditor):
+            link = Link(Simulator(), rate_bps=800.0, delay_s=0.0,
+                        queue_capacity_packets=2, name="hop")
+        link.connect(lambda p: None)
+        link.queue.capacity_packets = 8  # resized after the ledgers registered
+        for _ in range(6):
+            link.send(Packet(1, "data", 100))
+        assert link.queue.occupancy > 2  # more than the construction-time capacity
+        totals = auditor.checkpoint("resized")
+        assert totals["audit.link.hop.occupancy_bounds_pkts"] == 0
+        assert auditor.violation_count == 0
 
     def test_unconnected_link_raises(self):
         sim = Simulator()

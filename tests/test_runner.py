@@ -121,12 +121,14 @@ class TestResultCache:
         assert not path.exists()
 
     def test_corrupt_entry_warns_and_counts(self, tmp_path):
-        from repro.metrics.core import collecting
+        from repro import instruments
+        from repro.metrics import MetricRegistry
 
         cache = ResultCache(tmp_path)
         path = cache.store("fig3", 7, "ok", _record())
         path.write_bytes(b"not a pickle")
-        with collecting() as registry:
+        registry = MetricRegistry()
+        with instruments.using(registry=registry):
             with pytest.warns(UserWarning, match="dropping corrupt cache entry"):
                 assert cache.load("fig3", 7) is None
         assert registry.counter("cache.corrupt_dropped_count").value == 1
@@ -192,9 +194,11 @@ class TestInstrumentation:
         assert record.trace_summary is None
 
     def test_trace_summary_is_a_delta_under_installed_tracer(self):
-        from repro.trace import Tracer, tracing
+        from repro import instruments
+        from repro.trace import Tracer
 
-        with tracing(Tracer()) as tracer:
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
             tracer.instant("pre.existing", 0.0)  # must not leak into the delta
 
             def job():
@@ -207,6 +211,30 @@ class TestInstrumentation:
         assert record.trace_summary == {
             "spans": 1, "instants": 0, "counter_samples": 1, "dropped": 0
         }
+
+    def test_one_record_per_run_keeps_callers_tracer_and_profiler(self, monkeypatch):
+        from repro import instruments
+        from repro.audit import Auditor
+        from repro.runner import ProfileCollector
+        from repro.trace import Tracer
+
+        monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
+        tracer, collector, outer_auditor = Tracer(), ProfileCollector(), Auditor()
+        seen = []
+        with instruments.using(
+            tracer=tracer, profiler=collector, auditor=outer_auditor
+        ) as outer:
+            instrumented_call("job", 3, lambda: seen.append(instruments.current()))
+            assert instruments.current() is outer
+            monkeypatch.setenv("REPRO_NO_AUDIT", "1")
+            instrumented_call("job", 4, lambda: seen.append(instruments.current()))
+        audited, unaudited = seen
+        assert audited.tracer is tracer and audited.profiler is collector
+        assert audited.registry.origin == "job:3"
+        assert audited.auditor.enabled and audited.auditor is not outer_auditor
+        # With audits off the run keeps the caller's auditor.
+        assert unaudited.auditor is outer_auditor
+        assert unaudited.registry.origin == "job:4"
 
     def test_record_is_picklable_and_jsonable(self):
         record = _record()
@@ -318,16 +346,18 @@ class TestProfiling:
             assert {"function", "ncalls", "tottime_s", "cumtime_s"} <= set(row)
 
     def test_install_stack_mirrors_trace(self):
+        from repro import instruments
         from repro.runner import ProfileCollector
-        from repro.runner import profiling
 
-        assert profiling.active() is None
-        collector = profiling.install(ProfileCollector())
-        assert profiling.active() is collector
-        with pytest.raises(RuntimeError, match="different collector"):
-            profiling.uninstall(ProfileCollector())
-        profiling.uninstall(collector)
-        assert profiling.active() is None
+        assert instruments.current().profiler is None
+        collector = ProfileCollector()
+        installed = instruments.using(profiler=collector)
+        installed.__enter__()
+        assert instruments.current().profiler is collector
+        with pytest.raises(RuntimeError, match="different record"):
+            instruments.using(profiler=ProfileCollector()).__exit__(None, None, None)
+        installed.__exit__(None, None, None)
+        assert instruments.current().profiler is None
 
     def test_empty_collector_refuses_dump(self, tmp_path):
         from repro.runner import ProfileCollector
@@ -340,14 +370,12 @@ class TestProfiling:
     def test_instrumented_call_attaches_profile_top(self, tmp_path):
         import pstats
 
+        from repro import instruments
         from repro.runner import ProfileCollector
-        from repro.runner import profiling
 
-        collector = profiling.install(ProfileCollector())
-        try:
+        collector = ProfileCollector()
+        with instruments.using(profiler=collector):
             _, record = instrumented_call("fig13", 7, lambda: EXPERIMENTS["fig13"].run(7))
-        finally:
-            profiling.uninstall(collector)
         assert record.profile_top is not None
         assert any("fig13" in row["function"] for row in record.profile_top)
         path = tmp_path / "campaign.pstats"

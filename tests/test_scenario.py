@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _to_jsonable
-from repro.experiments.common import testbed
+from repro.experiments.common import testbed as build_testbed
 from repro.experiments.registry import EXPERIMENTS
 from repro.runner import ResultCache, execute_experiment, run_sweep
 from repro.scenario import (
@@ -219,10 +219,10 @@ class TestSweepExpansion:
 
 class TestScenarioThreading:
     def test_testbed_cached_per_scenario(self):
-        default_bed = testbed(7)
-        assert testbed(7) is default_bed
-        assert testbed(7, "paper-nsa") is default_bed
-        dense_bed = testbed(7, "dense-grid")
+        default_bed = build_testbed(7)
+        assert build_testbed(7) is default_bed
+        assert build_testbed(7, "paper-nsa") is default_bed
+        dense_bed = build_testbed(7, "dense-grid")
         assert dense_bed is not default_bed
         assert len(dense_bed.campus.gnb_sites) > len(default_bed.campus.gnb_sites)
 

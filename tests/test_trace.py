@@ -1,4 +1,4 @@
-"""Tests for repro.trace: recording, install stack, exporters, analysis.
+"""Tests for repro.trace: recording, the instruments tracer field, exporters, analysis.
 
 The integration tests at the bottom pin the contract the subsystem
 exists for: traces are a pure function of (experiment, seed) — two runs
@@ -9,23 +9,19 @@ import json
 
 import pytest
 
-from repro import trace
+from repro import instruments, trace
 from repro.trace import (
     NULL_TRACER,
     NullTracer,
     TraceStats,
     Tracer,
-    current,
     diff_traces,
-    install,
     load_trace,
     summarize,
     summary_dict,
     summary_table,
     to_chrome,
     to_jsonl_lines,
-    tracing,
-    uninstall,
     write_chrome,
     write_jsonl,
 )
@@ -131,41 +127,51 @@ class TestTracerRecording:
         assert tracer.counter_series("c") == [(0.0, 2.0)]
 
 
+def _tracer() -> Tracer | NullTracer:
+    return instruments.current().tracer
+
+
 class TestInstallStack:
+    """The tracer field of the one :mod:`repro.instruments` stack."""
+
     def test_default_is_null_tracer(self):
-        assert current() is NULL_TRACER
-        assert not current().enabled
+        assert _tracer() is NULL_TRACER
+        assert not _tracer().enabled
 
     def test_install_uninstall(self):
         tracer = Tracer()
-        assert install(tracer) is tracer
-        try:
-            assert current() is tracer
-        finally:
-            uninstall(tracer)
-        assert current() is NULL_TRACER
+        with instruments.using(tracer=tracer) as active:
+            assert active.tracer is tracer
+            assert _tracer() is tracer
+        assert _tracer() is NULL_TRACER
 
     def test_tracing_context_manager_nests(self):
-        with tracing() as outer:
-            assert current() is outer
-            with tracing(Tracer(capacity=8)) as inner:
-                assert current() is inner
-                assert inner.capacity == 8
-            assert current() is outer
-        assert current() is NULL_TRACER
+        outer = Tracer()
+        with instruments.using(tracer=outer):
+            assert _tracer() is outer
+            with instruments.using(tracer=Tracer(capacity=8)) as inner:
+                assert _tracer() is inner.tracer
+                assert inner.tracer.capacity == 8
+            assert _tracer() is outer
+        assert _tracer() is NULL_TRACER
 
     def test_uninstall_requires_matching_tracer(self):
-        a, b = Tracer(), Tracer()
-        install(a)
+        a = instruments.using(tracer=Tracer())
+        b = instruments.using(tracer=Tracer())
+        a.__enter__()
+        b.__enter__()
         try:
             with pytest.raises(RuntimeError, match="out of order"):
-                uninstall(b)
+                a.__exit__(None, None, None)
         finally:
-            uninstall(a)
+            b.__exit__(None, None, None)
+            a.__exit__(None, None, None)
+        assert _tracer() is NULL_TRACER
 
     def test_uninstall_with_nothing_installed_raises(self):
-        with pytest.raises(RuntimeError, match="no tracer installed"):
-            uninstall()
+        with pytest.raises(RuntimeError, match="out of order"):
+            instruments.using(tracer=Tracer()).__exit__(None, None, None)
+        assert _tracer() is NULL_TRACER
 
 
 class TestNullTracer:
@@ -304,7 +310,8 @@ def _handoff_campaign(seed=7, duration_s=120.0):
 
 class TestInstrumentationIntegration:
     def test_handoff_run_emits_phase_spans(self):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
             data = _handoff_campaign()
         assert data.events  # the walk produced hand-offs
         handoffs = tracer.spans(prefix="handoff:")
@@ -316,7 +323,8 @@ class TestInstrumentationIntegration:
         assert len(tracer.instants(name="ho.complete")) == len(data.events)
 
     def test_a3_to_complete_span_covers_the_procedure(self):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
             _handoff_campaign()
         spans = tracer.spans(name="ho.a3_to_complete")
         assert spans
@@ -326,7 +334,8 @@ class TestInstrumentationIntegration:
     def test_energy_simulator_emits_state_spans(self):
         from repro.experiments import fig23_energy_timeline
 
-        with tracing() as tracer:
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
             fig23_energy_timeline.run(seed=7)
         spans = tracer.spans(prefix="energy.")
         assert spans
@@ -335,7 +344,8 @@ class TestInstrumentationIntegration:
     def test_link_adaptation_emits_mcs_counter(self):
         from repro.radio.linkadapt import LinkAdaptation
 
-        with tracing() as tracer:
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
             LinkAdaptation.for_sinr(15.0)
             LinkAdaptation.for_sinr(-10.0)
         series = tracer.counter_series("radio.mcs")
@@ -344,23 +354,25 @@ class TestInstrumentationIntegration:
         assert series[1][1] == -1.0  # out-of-range SINR -> no grant
 
     def test_trace_is_deterministic_for_fixed_seed(self):
-        with tracing() as first:
+        first = Tracer()
+        with instruments.using(tracer=first):
             _handoff_campaign()
-        with tracing() as second:
+        second = Tracer()
+        with instruments.using(tracer=second):
             _handoff_campaign()
         assert to_jsonl_lines(first) == to_jsonl_lines(second)
         assert diff_traces(first, second).identical
 
     def test_tracing_does_not_perturb_results(self):
         plain = _handoff_campaign()
-        with tracing():
+        with instruments.using(tracer=Tracer()):
             traced = _handoff_campaign()
         assert traced.events == plain.events
         assert traced.trace == plain.trace
         assert traced.outages == plain.outages
 
     def test_module_facade_reexports_core(self):
-        assert trace.current() is NULL_TRACER
+        assert trace.NULL_TRACER is NULL_TRACER
         assert trace.Tracer is Tracer
 
 
@@ -404,53 +416,3 @@ class TestLoadFailures:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(ValueError, match="truncated or malformed"):
             load_trace(str(path))
-
-
-class TestMetricsBridge:
-    """Tracer.feed_metrics mirrors counter samples into quantile sketches."""
-
-    def test_counter_samples_flow_into_registry(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer()
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry)
-        for value in (1.0, 2.0, 3.0):
-            tracer.counter("link.mcs_index", value, value)
-        sketch = registry.get("trace.link.mcs_index")
-        assert sketch.count == 3
-        assert sketch.mean == pytest.approx(2.0)
-
-    def test_names_are_sanitized_to_metric_charset(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer()
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry, prefix="trace")
-        tracer.counter("HO Latency:5G-5G", 0.0, 7.0)
-        assert registry.names() == ["trace.ho_latency_5g_5g"]
-
-    def test_detach_stops_mirroring(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer()
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry)
-        tracer.counter("x", 0.0, 1.0)
-        tracer.feed_metrics(None)
-        tracer.counter("x", 1.0, 2.0)
-        assert registry.get("trace.x").count == 1
-
-    def test_bridge_survives_ring_eviction(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer(capacity=4)
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry)
-        for i in range(100):
-            tracer.counter("x", float(i), float(i))
-        assert len(tracer.records()) == 4
-        assert registry.get("trace.x").count == 100
-
-    def test_null_tracer_accepts_feed_metrics(self):
-        NULL_TRACER.feed_metrics(None)
