@@ -14,28 +14,10 @@ import numpy as np
 
 __all__ = [
     "RngFactory",
-    "SANCTIONED_RNG_PROVIDERS",
     "default_rng",
     "derive",
-    "is_sanctioned_rng",
     "streams_drawn",
 ]
-
-#: Modules whose callables are sanctioned randomness constructors.  The
-#: REP001 determinism rule (:mod:`repro.lint.rules.determinism`) consults
-#: this so the linter and the runtime agree on what "going through
-#: repro.core.rng" means; extend it here if a future provider is blessed.
-SANCTIONED_RNG_PROVIDERS: tuple[str, ...] = ("repro.core.rng",)
-
-
-def is_sanctioned_rng(qualified_name: str) -> bool:
-    """Is ``qualified_name`` (e.g. ``repro.core.rng.default_rng``) a
-    sanctioned randomness constructor?"""
-    return any(
-        qualified_name == provider or qualified_name.startswith(provider + ".")
-        for provider in SANCTIONED_RNG_PROVIDERS
-    )
-
 
 # Per-process count of streams handed out by RngFactory.stream(), used by
 # repro.runner.instrument to report how much randomness an experiment drew.

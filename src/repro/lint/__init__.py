@@ -1,33 +1,16 @@
 """replint: the repro domain linter.
 
 An AST-based static-analysis pass enforcing the invariants generic
-linters cannot see:
+linters cannot see: randomness flows from the campaign seed, unit
+suffixes agree, simulator and tracer APIs are used as contracted, and
+registered metric and audit names stay diffable.  A per-file pass runs
+the rules in :mod:`repro.lint.rules`; a **whole-program pass**
+(:mod:`repro.lint.project`) then builds a project symbol table and call
+graph for the interprocedural rules (REP009 unit flow, REP010 rng flow).
 
-* **REP001 determinism** — all randomness flows through
-  :mod:`repro.core.rng` (named streams / threaded generators).
-* **REP002 unit consistency** — identifier unit suffixes
-  (``_dbm``, ``_hz``, ``_s``, ...) are never mixed across additive
-  expressions or keyword-argument boundaries.
-* **REP003 simulator API** — no negative literal delays, no discarded
-  cancellable timer handles, no ``Simulator()`` construction inside
-  experiment sweep loops.
-* **REP004 hidden state** — no mutable default arguments; no mutable
-  module-level globals in experiment modules.
-
-On top of the per-file pass, a **whole-program pass**
-(:mod:`repro.lint.project`) builds a project symbol table and call
-graph and runs the interprocedural rules:
-
-* **REP009 unit flow** — unit suffixes inferred and checked *across*
-  function boundaries (positional arguments, conflicting inference,
-  return units).
-* **REP010 rng flow** — generator provenance taint: everything
-  reaching an experiment ``run()`` must flow from the campaign seed,
-  and no experiment-reachable path may mutate module-level state.
-
-See ``EXPERIMENTS.md`` ("Determinism and unit conventions") for the
-conventions themselves, the pragma syntax and baseline workflow, and
-the README rule catalogue for one-line summaries of every rule.
+The README rule catalogue ("Determinism and unit conventions") lists
+every rule in one line each; ``EXPERIMENTS.md`` covers the conventions
+themselves, the pragma syntax and the baseline workflow.
 """
 
 from repro.lint.baseline import Baseline

@@ -29,6 +29,9 @@ DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 _Key = tuple[str, str, str]
 
+#: The fields of an entry that make up its :data:`_Key`.
+_KEY_FIELDS = ("rule", "path", "fingerprint")
+
 
 @dataclass
 class Baseline:
@@ -38,10 +41,17 @@ class Baseline:
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
+        """Read a baseline file; a missing file is an empty baseline.
+
+        Raises:
+            ValueError: naming ``path``, when it is not a baseline of the
+                current schema.
+        """
         if not path.exists():
             return cls()
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"baseline {path} is not a JSON object")
         version = payload.get("schema_version")
         if version != BASELINE_SCHEMA_VERSION:
             raise ValueError(
@@ -51,6 +61,11 @@ class Baseline:
             )
         entries: Counter = Counter()
         for entry in payload.get("entries", []):
+            if not isinstance(entry, dict) or not all(k in entry for k in _KEY_FIELDS):
+                raise ValueError(
+                    f"malformed entry {entry!r} in baseline {path}: every "
+                    f"entry is an object with {', '.join(_KEY_FIELDS)}"
+                )
             key: _Key = (entry["rule"], entry["path"], entry["fingerprint"])
             entries[key] += int(entry.get("count", 1))
         return cls(entries=entries)

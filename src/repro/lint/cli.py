@@ -9,10 +9,11 @@ Usage::
     python -m repro lint src/ --graph json         # export the resolved call graph
     python -m repro lint src/ --no-project         # per-file rules only
 
-Both passes run by default: the per-file rules (REP001–REP008) and the
-whole-program pass (REP009/REP010 over the project symbol table and
-call graph).  Project-pass findings flow through the same pragma and
-baseline machinery, so the gate stays baseline-compatible.
+Both passes run by default: the per-file rules (REP001–REP008 and
+REP011–REP013) and the whole-program pass (REP009/REP010 over the
+project symbol table and call graph).  Project-pass findings flow
+through the same pragma and baseline machinery, so the gate stays
+baseline-compatible.
 
 The baseline defaults to ``lint-baseline.json`` in the working
 directory; a missing file is simply an empty baseline, so a clean tree

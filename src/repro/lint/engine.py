@@ -2,10 +2,11 @@
 
 replint is a domain linter: its rules encode invariants of *this*
 codebase (sanctioned randomness, unit-suffix discipline, simulator API
-contracts) that generic linters cannot know about.  Each rule lives in
-one module under :mod:`repro.lint.rules` and registers itself with the
-:func:`rule` decorator; the engine parses every target file once and
-hands the same :class:`FileContext` to every rule.
+contracts) that generic linters cannot know about.  Each rule is either a
+module under :mod:`repro.lint.rules` registered with the :func:`rule`
+decorator or a row of the :mod:`repro.lint.rules.policies` table
+registered with :func:`register`; the engine parses every target file
+once and hands the same :class:`FileContext` to every rule.
 
 Linting is a two-pass affair:
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import re
+import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +46,9 @@ __all__ = [
     "lint_paths",
     "module_name_for",
     "parse_files",
+    "register",
     "rule",
+    "terminal_name",
 ]
 
 #: Matches ``# replint: ignore`` and ``# replint: ignore[REP001,REP003]``.
@@ -136,12 +140,17 @@ class Rule:
 _REGISTRY: dict[str, Rule] = {}
 
 
-def rule(cls: type[Rule]) -> type[Rule]:
-    """Class decorator registering a rule instance under its ``id``."""
-    instance = cls()
+def register(instance: Rule) -> Rule:
+    """Register a per-file rule instance under its ``id``."""
     if instance.id in _REGISTRY:
         raise ValueError(f"duplicate rule id {instance.id!r}")
     _REGISTRY[instance.id] = instance
+    return instance
+
+
+def rule(cls: type[Rule]) -> type[Rule]:
+    """Class decorator registering a rule instance under its ``id``."""
+    register(cls())
     return cls
 
 
@@ -170,6 +179,15 @@ def module_name_for(display_path: str) -> str:
     if "src" in parts:
         parts = parts[parts.index("src") + 1 :]
     return ".".join(part for part in parts if part)
+
+
+def terminal_name(node: ast.AST) -> str | None:
+    """Last identifier of a name or attribute chain (``self._tracer`` -> ``_tracer``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
 class ImportTable:
@@ -274,7 +292,9 @@ class FileContext:
 
     @classmethod
     def parse(cls, path: Path, display_path: str) -> "FileContext":
-        source = path.read_text(encoding="utf-8")
+        # tokenize.open honours a PEP 263 coding cookie (default UTF-8).
+        with tokenize.open(path) as handle:
+            source = handle.read()
         tree = ast.parse(source, filename=str(path))
         module_name = module_name_for(display_path)
         return cls(
@@ -399,13 +419,32 @@ def _parse_error(display_path: str, exc: SyntaxError) -> Violation:
     )
 
 
+def _decode_error(path: Path, display_path: str, exc: UnicodeDecodeError) -> Violation:
+    """REP000 at the first line of ``path`` that does not decode."""
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode(exc.encoding)
+        except UnicodeDecodeError:
+            break
+    return Violation(
+        path=display_path,
+        line=lineno,
+        col=0,
+        rule="REP000",
+        severity="error",
+        message=f"file does not decode as {exc.encoding}: {exc.reason}",
+        snippet=raw.decode(exc.encoding, errors="replace").strip(),
+        end_line=lineno,
+    )
+
+
 def parse_files(
     paths: Sequence[Path], root: Path | None = None
 ) -> tuple[list[FileContext], list[Violation]]:
     """Parse every python file under ``paths`` exactly once.
 
     Returns the shared :class:`FileContext` cache both lint passes run
-    over, plus a REP000 violation per unparseable file.
+    over, plus a REP000 violation per file that does not decode or parse.
     """
     base = root if root is not None else Path.cwd()
     contexts: list[FileContext] = []
@@ -416,18 +455,9 @@ def parse_files(
             contexts.append(FileContext.parse(path, display))
         except SyntaxError as exc:
             errors.append(_parse_error(display, exc))
+        except UnicodeDecodeError as exc:
+            errors.append(_decode_error(path, display, exc))
     return contexts, errors
-
-
-def lint_file(
-    path: Path, display_path: str, rules: Iterable[Rule]
-) -> list[Violation]:
-    """All non-pragma-suppressed violations in one file (file pass only)."""
-    try:
-        ctx = FileContext.parse(path, display_path)
-    except SyntaxError as exc:
-        return [_parse_error(display_path, exc)]
-    return check_context(ctx, rules)
 
 
 def check_context(ctx: FileContext, rules: Iterable[Rule]) -> list[Violation]:
@@ -442,7 +472,6 @@ def check_context(ctx: FileContext, rules: Iterable[Rule]) -> list[Violation]:
 
 def lint_paths(
     paths: Sequence[Path],
-    rules: Iterable[Rule] | None = None,
     root: Path | None = None,
     project: bool = True,
 ) -> LintResult:
@@ -450,16 +479,13 @@ def lint_paths(
 
     Args:
         paths: Files or directories to scan.
-        rules: File-pass rule instances to run (default: the full
-            registry).  Passing an explicit list disables the project
-            pass unless ``project`` is set.
         root: Directory violation paths are reported relative to
             (default: the current working directory), which is also the
             frame of reference baseline entries are stored in.
         project: Run the whole-program pass (symbol table, call graph,
             ``ProjectRule`` registry) after the per-file pass.
     """
-    active = list(rules) if rules is not None else all_rules()
+    active = all_rules()
     contexts, violations = parse_files(paths, root=root)
     violations = list(violations)
     for ctx in contexts:

@@ -1,37 +1,33 @@
-"""Rule modules register themselves on import; one file per rule family.
+"""Rules register themselves on import.
 
-Adding a rule in a future PR means adding one module here and importing
-it below — the engine, CLI, baseline and report layers need no changes.
+A rule is either a module here that registers with the ``@rule`` (or
+``@project_rule``) decorator, or a row of the
+:data:`~repro.lint.rules.policies.POLICIES` table when it is made of the
+generic banned-call, unit-suffixed-knob and registered-name checks.
+Adding a rule means adding a module and importing it below, or adding a
+row; the engine, CLI, baseline and report layers need no changes.
 """
 
 from repro.lint.rules import (
-    audit,
-    determinism,
     hotpath,
-    metrics,
-    remedy,
+    policies,
     rngflow,
     scenario,
     simapi,
     spans,
     state,
-    topology,
     units,
     unitsflow,
 )
 
 __all__ = [
-    "audit",
-    "determinism",
     "hotpath",
-    "metrics",
-    "remedy",
+    "policies",
     "rngflow",
     "scenario",
     "simapi",
     "spans",
     "state",
-    "topology",
     "units",
     "unitsflow",
 ]

@@ -35,47 +35,24 @@ import ast
 import re
 from collections.abc import Iterator
 
-from repro.lint.engine import FileContext, Violation
+from repro.lint.engine import Violation
 from repro.lint.project import (
     FunctionInfo,
     ProjectContext,
     ProjectRule,
     project_rule,
 )
+from repro.lint.rules.policies import RNG_CONSTRUCTORS
+from repro.lint.rules.state import module_mutables
 
 #: Parameters that promise seeded provenance.
 _RNG_PARAM_RE = re.compile(r"(^|_)rngf?(_factory)?$|(^|_)rng_factory$")
-
-#: Constructors that root a *new* generator lineage.
-_CONSTRUCTORS = frozenset(
-    {
-        "repro.core.rng.default_rng",
-        "repro.core.rng.RngFactory",
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-        "numpy.random.Generator",
-        "random.Random",
-    }
-)
 
 #: The sanctioned way to branch off a threaded generator.
 _DERIVE = "repro.core.rng.derive"
 
 #: The module allowed to construct generators from anything.
 _EXEMPT_MODULES = ("core/rng.py",)
-
-_MUTABLE_LITERALS = (
-    ast.List,
-    ast.Dict,
-    ast.Set,
-    ast.ListComp,
-    ast.DictComp,
-    ast.SetComp,
-)
-
-_MUTABLE_FACTORIES = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque"}
-)
 
 _MUTATOR_METHODS = frozenset(
     {
@@ -94,35 +71,6 @@ _MUTATOR_METHODS = frozenset(
         "update",
     }
 )
-
-
-def _is_mutable_value(node: ast.AST) -> bool:
-    if isinstance(node, _MUTABLE_LITERALS):
-        return True
-    if isinstance(node, ast.Call):
-        name = node.func.id if isinstance(node.func, ast.Name) else None
-        if name is None and isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-        return name in _MUTABLE_FACTORIES
-    return False
-
-
-def _module_mutables(ctx: FileContext) -> set[str]:
-    """Module-level names bound to mutable containers."""
-    names: set[str] = set()
-    for node in ctx.tree.body:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        if not _is_mutable_value(value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-    return names
 
 
 def _local_names(info: FunctionInfo) -> set[str]:
@@ -209,7 +157,7 @@ class RngFlowRule(ProjectRule):
             qualified = info.ctx.imports.resolve(node.func)
             if qualified is None or qualified == _DERIVE:
                 continue
-            if qualified in _CONSTRUCTORS:
+            if qualified in RNG_CONSTRUCTORS:
                 yield self.violation(
                     info.ctx,
                     node,
@@ -225,7 +173,7 @@ class RngFlowRule(ProjectRule):
         for node in info.walk(ast.Call):
             assert isinstance(node, ast.Call)
             qualified = info.ctx.imports.resolve(node.func)
-            if qualified not in _CONSTRUCTORS:
+            if qualified not in RNG_CONSTRUCTORS:
                 continue
             if _constant_seed(node):
                 yield self.violation(
@@ -243,7 +191,7 @@ class RngFlowRule(ProjectRule):
         self, project: ProjectContext, reachable: set[str]
     ) -> Iterator[Violation]:
         for module, ctx in project.modules.items():
-            mutables = _module_mutables(ctx)
+            mutables = {name for _node, name in module_mutables(ctx)}
             if not mutables:
                 continue
             for info in project.functions.values():

@@ -22,7 +22,7 @@ import ast
 import re
 from collections.abc import Iterator
 
-from repro.lint.engine import FileContext, Rule, Violation, rule
+from repro.lint.engine import FileContext, Rule, Violation, rule, terminal_name
 
 _SCHEDULE_METHODS = ("schedule", "schedule_at")
 
@@ -51,14 +51,6 @@ def _negative_literal(node: ast.AST) -> bool:
         and isinstance(node.value, (int, float))
         and node.value < 0
     )
-
-
-def _callback_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 @rule
@@ -93,7 +85,7 @@ class SimulatorApiRule(Rule):
     ) -> Iterator[Violation]:
         if not _is_schedule_call(call) or len(call.args) < 2:
             return
-        name = _callback_name(call.args[1])
+        name = terminal_name(call.args[1])
         if name is not None and _TIMER_NAME_RE.search(name):
             yield self.violation(
                 ctx,

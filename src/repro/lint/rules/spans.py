@@ -27,20 +27,11 @@ import ast
 import re
 from collections.abc import Iterator
 
-from repro.lint.engine import FileContext, Rule, Violation, rule
+from repro.lint.engine import FileContext, Rule, Violation, rule, terminal_name
 
 #: Receivers considered tracers; matches ``tracer``, ``_tracer``,
 #: ``self._tracer`` and a module imported as ``trace``.
 _TRACER_NAME_RE = re.compile(r"(^|_)tracer?$", re.IGNORECASE)
-
-
-def _receiver_name(node: ast.AST) -> str | None:
-    """Last identifier of the receiver chain (``self._tracer`` -> ``_tracer``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def _is_tracer_begin(call: ast.AST) -> bool:
@@ -48,7 +39,7 @@ def _is_tracer_begin(call: ast.AST) -> bool:
         return False
     if call.func.attr != "begin":
         return False
-    receiver = _receiver_name(call.func.value)
+    receiver = terminal_name(call.func.value)
     return receiver is not None and _TRACER_NAME_RE.search(receiver) is not None
 
 

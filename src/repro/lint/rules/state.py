@@ -35,7 +35,8 @@ _MUTABLE_LITERALS = (
 )
 
 
-def _is_mutable_value(node: ast.AST) -> bool:
+def is_mutable_value(node: ast.AST) -> bool:
+    """Does ``node`` build a mutable container (literal or factory call)?"""
     if isinstance(node, _MUTABLE_LITERALS):
         return True
     if isinstance(node, ast.Call):
@@ -44,6 +45,21 @@ def _is_mutable_value(node: ast.AST) -> bool:
             name = node.func.attr
         return name in _MUTABLE_FACTORIES
     return False
+
+
+def module_mutables(ctx: FileContext) -> Iterator[tuple[ast.stmt, str]]:
+    """(statement, name) for each module-level name bound to a mutable container."""
+    for node in ctx.tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if is_mutable_value(value):
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node, target.id
 
 
 @rule
@@ -65,7 +81,7 @@ class HiddenStateRule(Rule):
                 default for default in node.args.kw_defaults if default is not None
             ]
             for default in defaults:
-                if _is_mutable_value(default):
+                if is_mutable_value(default):
                     yield self.violation(
                         ctx,
                         default,
@@ -74,29 +90,16 @@ class HiddenStateRule(Rule):
                     )
 
     def _module_globals(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ctx.tree.body:
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            if not _is_mutable_value(value):
-                continue
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if _CONSTANT_NAME_RE.fullmatch(target.id):
-                    continue  # SHOUTED constants: frozen by convention
-                if target.id.startswith("__") and target.id.endswith("__"):
-                    continue  # dunders (__all__) are interpreter contracts
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"module-level mutable global {target.id!r} in an "
-                    "experiment module persists across repetitions within "
-                    "a worker; pass state explicitly or make it a "
-                    "SHOUTED frozen constant",
-                )
+        for node, name in module_mutables(ctx):
+            if _CONSTANT_NAME_RE.fullmatch(name):
+                continue  # SHOUTED constants: frozen by convention
+            if name.startswith("__") and name.endswith("__"):
+                continue  # dunders (__all__) are interpreter contracts
+            yield self.violation(
+                ctx,
+                node,
+                f"module-level mutable global {name!r} in an "
+                "experiment module persists across repetitions within "
+                "a worker; pass state explicitly or make it a "
+                "SHOUTED frozen constant",
+            )

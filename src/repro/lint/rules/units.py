@@ -21,35 +21,63 @@ never fire.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from repro.core.units import LOG_DOMAIN_DIMENSIONS, UNIT_DIMENSIONS, unit_suffix
-from repro.lint.engine import FileContext, Rule, Violation, rule
+from repro.lint.engine import FileContext, Rule, Violation, rule, terminal_name
 
 #: (suffix, dimension) — resolved unit of a subexpression.
-_Unit = tuple[str, str]
+Unit = tuple[str, str]
 
 
-def _name_unit(node: ast.AST) -> _Unit | None:
-    if isinstance(node, ast.Name):
-        suffix = unit_suffix(node.id)
-    elif isinstance(node, ast.Attribute):
-        suffix = unit_suffix(node.attr)
-    else:
-        return None
+def _name_unit(node: ast.AST) -> Unit | None:
+    name = terminal_name(node)
+    suffix = None if name is None else unit_suffix(name)
     if suffix is None:
         return None
     return suffix, UNIT_DIMENSIONS[suffix]
 
 
-def _additive_compatible(left: _Unit, right: _Unit) -> bool:
+def additive_compatible(left: Unit, right: Unit) -> bool:
+    """May quantities in these units be added or subtracted?"""
     if left[0] == right[0]:
         return True
     return left[1] in LOG_DOMAIN_DIMENSIONS and right[1] in LOG_DOMAIN_DIMENSIONS
 
 
-def _describe(unit: _Unit) -> str:
+def describe(unit: Unit) -> str:
     return f"_{unit[0]} ({unit[1]})"
+
+
+def expression_unit(
+    node: ast.AST, on_mix: Callable[[ast.BinOp, Unit, Unit], None] | None = None
+) -> Unit | None:
+    """Unit of an expression; ``on_mix`` hears of each incompatible add.
+
+    Only additive structure is traversed — any other operator yields
+    "unknown" so dimension-changing arithmetic never misfires.  When
+    one operand is unknown the other's unit propagates, keeping
+    chains like ``noise_dbm + 10 * log10(bw) + nf_db`` checkable.  An
+    incompatible add resolves to "unknown" after it is reported.
+    """
+    if isinstance(node, ast.UnaryOp):
+        return expression_unit(node.operand, on_mix)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        left = expression_unit(node.left, on_mix)
+        right = expression_unit(node.right, on_mix)
+        if left is None:
+            return right
+        if right is None:
+            return left
+        if not additive_compatible(left, right):
+            if on_mix is not None:
+                on_mix(node, left, right)
+            return None
+        if left[1] in LOG_DOMAIN_DIMENSIONS and left[1] != right[1]:
+            # level +/- ratio keeps the level's (absolute) unit
+            return left if left[1] != "log-ratio" else right
+        return left
+    return _name_unit(node)
 
 
 @rule
@@ -62,6 +90,10 @@ class UnitConsistencyRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         found: list[Violation] = []
+
+        def report(node: ast.AST, left: Unit, right: Unit) -> None:
+            found.append(self._mix_violation(ctx, node, left, right))
+
         additive_children: set[int] = set()
         for node in ctx.walk(ast.BinOp):
             if isinstance(node.op, (ast.Add, ast.Sub)):
@@ -76,57 +108,29 @@ class UnitConsistencyRule(Rule):
                 and isinstance(node.op, (ast.Add, ast.Sub))
                 and id(node) not in additive_children
             ):
-                self._resolve(ctx, node, found)
+                expression_unit(node, report)
             elif isinstance(node, ast.AugAssign) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
                 target = _name_unit(node.target)
-                value = self._resolve(ctx, node.value, found)
-                if target and value and not _additive_compatible(target, value):
-                    found.append(self._mix_violation(ctx, node, target, value))
+                value = expression_unit(node.value, report)
+                if target and value and not additive_compatible(target, value):
+                    report(node, target, value)
             elif isinstance(node, ast.Call):
                 found.extend(self._check_keywords(ctx, node))
         yield from found
 
-    def _resolve(
-        self, ctx: FileContext, node: ast.AST, found: list[Violation]
-    ) -> _Unit | None:
-        """Unit of an expression; records a violation on incompatible adds.
-
-        Only additive structure is traversed — any other operator yields
-        "unknown" so dimension-changing arithmetic never misfires.  When
-        one operand is unknown the other's unit propagates, keeping
-        chains like ``noise_dbm + 10 * log10(bw) + nf_db`` checkable.
-        """
-        if isinstance(node, ast.UnaryOp):
-            return self._resolve(ctx, node.operand, found)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            left = self._resolve(ctx, node.left, found)
-            right = self._resolve(ctx, node.right, found)
-            if left is None:
-                return right
-            if right is None:
-                return left
-            if not _additive_compatible(left, right):
-                found.append(self._mix_violation(ctx, node, left, right))
-                return None
-            if left[1] in LOG_DOMAIN_DIMENSIONS and left[1] != right[1]:
-                # level +/- ratio keeps the level's (absolute) unit
-                return left if left[1] != "log-ratio" else right
-            return left
-        return _name_unit(node)
-
     def _mix_violation(
-        self, ctx: FileContext, node: ast.AST, left: _Unit, right: _Unit
+        self, ctx: FileContext, node: ast.AST, left: Unit, right: Unit
     ) -> Violation:
         if left[1] == right[1]:
             message = (
-                f"adding {_describe(left)} to {_describe(right)}: same "
+                f"adding {describe(left)} to {describe(right)}: same "
                 "dimension but mismatched scales — convert explicitly"
             )
         else:
             message = (
-                f"adding {_describe(left)} to {_describe(right)}: "
+                f"adding {describe(left)} to {describe(right)}: "
                 "incompatible unit dimensions"
             )
         return self.violation(ctx, node, message)
@@ -145,6 +149,6 @@ class UnitConsistencyRule(Rule):
             yield self.violation(
                 ctx,
                 keyword.value,
-                f"passing {_describe(value)} value to keyword "
-                f"{keyword.arg}= which expects {_describe(expected)}",
+                f"passing {describe(value)} value to keyword "
+                f"{keyword.arg}= which expects {describe(expected)}",
             )

@@ -20,9 +20,10 @@ the resolved call graph and checks three flows:
   not be assigned to a name whose suffix contradicts the function's
   declared or unanimously inferred return unit.
 
-Log-domain quantities (``_dbm``/``_db``/...) are mutually compatible
-exactly as in REP002.  Anything the resolver cannot type stays silent:
-the rule under-approximates rather than guesses.
+Expressions resolve through REP002's resolver, so log-domain quantities
+(``_dbm``/``_db``/...) are mutually compatible exactly as there, and a
+mixed additive chain resolves to "unknown".  Anything the resolver cannot
+type stays silent: the rule under-approximates rather than guesses.
 """
 
 from __future__ import annotations
@@ -39,52 +40,7 @@ from repro.lint.project import (
     ProjectRule,
     project_rule,
 )
-
-#: (suffix, dimension) — resolved unit of a subexpression.
-_Unit = tuple[str, str]
-
-
-def expression_unit(node: ast.AST) -> _Unit | None:
-    """Unit of an expression, traversing only additive structure.
-
-    Mirrors REP002's resolver (dimension-changing operators are opaque;
-    an unknown operand lets the other's unit propagate) without the
-    violation side channel — here a mixed additive chain just resolves
-    to "unknown" and the interprocedural checks stay quiet.
-    """
-    if isinstance(node, ast.UnaryOp):
-        return expression_unit(node.operand)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        left = expression_unit(node.left)
-        right = expression_unit(node.right)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        if not _compatible(left, right):
-            return None
-        if left[1] in LOG_DOMAIN_DIMENSIONS and left[1] != right[1]:
-            return left if left[1] != "log-ratio" else right
-        return left
-    if isinstance(node, ast.Name):
-        suffix = unit_suffix(node.id)
-    elif isinstance(node, ast.Attribute):
-        suffix = unit_suffix(node.attr)
-    else:
-        return None
-    if suffix is None:
-        return None
-    return suffix, UNIT_DIMENSIONS[suffix]
-
-
-def _compatible(left: _Unit, right: _Unit) -> bool:
-    if left[0] == right[0]:
-        return True
-    return left[1] in LOG_DOMAIN_DIMENSIONS and right[1] in LOG_DOMAIN_DIMENSIONS
-
-
-def _describe(unit: _Unit) -> str:
-    return f"_{unit[0]} ({unit[1]})"
+from repro.lint.rules.units import Unit, additive_compatible, describe, expression_unit
 
 
 def _map_positional(
@@ -153,14 +109,14 @@ class UnitFlowRule(ProjectRule):
                 if expected is None:
                     continue
                 actual = expression_unit(arg)
-                if actual is None or _compatible(actual, expected):
+                if actual is None or additive_compatible(actual, expected):
                     continue
                 yield self.violation(
                     site.ctx,
                     arg,
-                    f"passing {_describe(actual)} value positionally to "
+                    f"passing {describe(actual)} value positionally to "
                     f"parameter {param!r} of {info.qualname}() which "
-                    f"expects {_describe(expected)}",
+                    f"expects {describe(expected)}",
                 )
 
     # -- conflicting inference for unsuffixed parameters ---------------
@@ -210,7 +166,7 @@ class UnitFlowRule(ProjectRule):
 
     # -- returns -------------------------------------------------------
 
-    def _return_unit(self, info: FunctionInfo) -> _Unit | None:
+    def _return_unit(self, info: FunctionInfo) -> Unit | None:
         """Declared (name-suffix) or unanimously inferred return unit."""
         suffix = unit_suffix(info.name)
         if suffix is not None:
@@ -238,13 +194,13 @@ class UnitFlowRule(ProjectRule):
             if node.value is None:
                 continue
             actual = expression_unit(node.value)
-            if actual is None or _compatible(actual, declared):
+            if actual is None or additive_compatible(actual, declared):
                 continue
             yield self.violation(
                 info.ctx,
                 node,
-                f"{info.qualname}() declares {_describe(declared)} in its "
-                f"name but returns {_describe(actual)}",
+                f"{info.qualname}() declares {describe(declared)} in its "
+                f"name but returns {describe(actual)}",
             )
 
     def _check_result_assignment(
@@ -270,12 +226,12 @@ class UnitFlowRule(ProjectRule):
             if suffix is None:
                 continue
             expected = (suffix, UNIT_DIMENSIONS[suffix])
-            if _compatible(returned, expected):
+            if additive_compatible(returned, expected):
                 continue
             yield self.violation(
                 site.ctx,
                 site.node,
-                f"result of {info.qualname}() ({_describe(returned)}) "
+                f"result of {info.qualname}() ({describe(returned)}) "
                 f"assigned to {target!r} which implies "
-                f"{_describe(expected)}",
+                f"{describe(expected)}",
             )

@@ -195,6 +195,92 @@ class TestSpanHygiene:
         ) == []
 
 
+class TestPolicyScopes:
+    """Scopes and spellings of the policy-table rules no fixture line reaches."""
+
+    def _lint(self, tmp_path, source, name="mod.py"):
+        target = tmp_path / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+        return [
+            (v.rule, v.line)
+            for v in lint_paths([target], root=tmp_path).violations
+        ]
+
+    def test_rep006_is_silent_inside_the_metrics_package(self, tmp_path):
+        source = "registry.gauge('fig0.energy.t5')\n"
+        assert self._lint(tmp_path, source) == [("REP006", 1)]
+        assert self._lint(tmp_path, source, name="metrics/registry.py") == []
+
+    def test_both_rep012_halves_are_silent_inside_the_audit_package(self, tmp_path):
+        source = (
+            "def _audit_drops(self, auditor):\n"
+            "    self.drops = 1\n"
+            "    auditor.note('qdisc.drop_count', 0.0)\n"
+        )
+        assert self._lint(tmp_path, source) == [("REP012", 2), ("REP012", 3)]
+        assert self._lint(tmp_path, source, name="audit/ledger.py") == []
+
+    def test_name_keyword_form(self, tmp_path):
+        assert self._lint(
+            tmp_path,
+            "registry.gauge(name='fig0.energy.t5')\n"
+            "auditor.note(name='qdisc.drop_count')\n",
+        ) == [("REP006", 1), ("REP012", 2)]
+
+    def test_receiver_named_metrics(self, tmp_path):
+        assert self._lint(
+            tmp_path, "metrics.gauge('fig0.energy.t5')\n"
+        ) == [("REP006", 1)]
+
+    def test_rep006_counter_welford_and_histogram_accessors(self, tmp_path):
+        assert self._lint(
+            tmp_path,
+            "registry.counter('fig0.drops')\n"
+            "registry.welford('fig0.rtt')\n"
+            "registry.histogram('fig0.delay')\n",
+        ) == [("REP006", 1), ("REP006", 2), ("REP006", 3)]
+
+    def test_rep012_flag_probe_and_observe_methods(self, tmp_path):
+        assert self._lint(
+            tmp_path,
+            "auditor.flag('audit.codel.stall')\n"
+            "auditor.probe('audit.codel.backlog', True, 0.0)\n"
+            "auditor.observe('audit.codel.sojourn')\n",
+        ) == [("REP012", 1), ("REP012", 2), ("REP012", 3)]
+
+    def test_rep013_positional_only_and_keyword_only_parameters(self, tmp_path):
+        assert self._lint(
+            tmp_path,
+            "def grid(\n"
+            "    pitch: float,\n"
+            "    /,\n"
+            "    extent_m: float,\n"
+            "    *,\n"
+            "    jitter: float,\n"
+            ") -> None:\n"
+            "    pass\n",
+            name="topology/grid.py",
+        ) == [("REP013", 2), ("REP013", 6)]
+
+    def test_rep013_skips_private_functions(self, tmp_path):
+        assert self._lint(
+            tmp_path,
+            "def _spacing(pitch: float) -> float:\n"
+            "    return pitch\n"
+            "def spacing(pitch: float) -> float:\n"
+            "    return pitch\n",
+            name="topology/grid.py",
+        ) == [("REP013", 3)]
+
+    def test_rep011_quoted_float_annotation(self, tmp_path):
+        assert self._lint(
+            tmp_path,
+            "class RemedySection:\n"
+            "    interval: 'float' = 0.1\n",
+        ) == [("REP011", 2)]
+
+
 class TestPragmas:
     def test_named_pragma_suppresses_in_fixture(self):
         source = (DIRTY / "experiments" / "sweep.py").read_text()
@@ -273,6 +359,24 @@ class TestBaseline:
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"schema_version": 99, "entries": []}))
         with pytest.raises(ValueError, match="unsupported baseline schema"):
+            Baseline.load(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"schema_version": BASELINE_SCHEMA_VERSION, "entries": ["REP001"]},
+            {
+                "schema_version": BASELINE_SCHEMA_VERSION,
+                "entries": [{"rule": "REP001", "path": "mod.py"}],
+            },
+        ],
+        ids=["array", "entry-not-object", "entry-without-fingerprint"],
+    )
+    def test_malformed_baseline_rejected(self, tmp_path, payload):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="baseline.json"):
             Baseline.load(path)
 
     def test_entries_are_consumed_not_reused(self, tmp_path):
@@ -362,6 +466,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "REP000" in out
         assert "does not parse" in out
+
+    def test_malformed_baseline_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text("[]")
+        assert main(["lint", str(CLEAN), "--baseline", str(baseline_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "baseline.json" in err
+
+
+class TestSourceEncoding:
+    def test_coding_cookie_is_honoured(self, tmp_path):
+        (tmp_path / "legacy.py").write_bytes(
+            b"# -*- coding: latin-1 -*-\n"
+            b"GREETING = 'caf\xe9'\n"
+        )
+        result = lint_paths([tmp_path], root=tmp_path)
+        assert result.files_scanned == 1
+        assert result.violations == []
+
+    def test_undecodable_file_is_rep000_and_others_still_lint(self, tmp_path):
+        (tmp_path / "latin.py").write_bytes(b"x = 1\nname = 'caf\xe9'\n")
+        (tmp_path / "mod.py").write_text("import time\nt = time.time()\n")
+        violations = lint_paths([tmp_path], root=tmp_path).violations
+        assert [(v.rule, v.path, v.line) for v in violations] == [
+            ("REP000", "latin.py", 2),
+            ("REP001", "mod.py", 2),
+        ]
 
 
 class TestSelfHosting:
