@@ -33,21 +33,25 @@ _replica_executed = 0
 
 
 def _seed_loop(sim, until=None):
-    """Verbatim replica of the pre-instrumentation ``Simulator.run`` loop."""
+    """Replica of the pre-instrumentation ``Simulator.run`` loop.
+
+    It walks the kernel's ``(time, seq, event)`` heap entries, so the loops
+    differ only in the per-event additions named in the module docstring.
+    """
     global _replica_executed
     heap = sim._heap
     while heap:
-        event = heap[0]
-        if until is not None and event.time > until:
+        if until is not None and heap[0][0] > until:
             break
-        heapq.heappop(heap)
+        etime, _, event = heapq.heappop(heap)
         if event.cancelled:
+            sim._dead -= 1
             continue
         event.sim = None
         sim._pending -= 1
         sim.events_executed += 1
         _replica_executed += 1
-        sim.now = event.time
+        sim.now = etime
         event.callback(*event.args)
     if until is not None and sim.now < until:
         sim.now = until

@@ -3,8 +3,14 @@
 Every network and transport component schedules callbacks on one shared
 :class:`Simulator`.  The design favours raw event throughput — packet-level
 TCP at hundreds of megabits produces millions of events per simulated
-minute — so events are plain heap entries with a cancellation flag rather
-than process objects.
+minute — so the heap holds ``(time, seq, event)`` tuples rather than
+process objects.  ``seq`` is unique, so every sift compares a float and
+an int in C and never reaches the :class:`Event`, which carries only the
+callback and a cancellation flag.  Cancellation is lazy: a cancelled
+entry stays in the heap until it is popped, unless cancelled entries come
+to dominate the heap (every re-armed RTO timer of a TCP transfer leaves
+one behind) and it is rebuilt without them.  Pop order depends only on
+the ``(time, seq)`` keys, so the rebuild never changes the schedule.
 
 Each simulator keeps lightweight event counters (scheduled / executed /
 cancelled), and the module aggregates the same counters across every
@@ -29,6 +35,11 @@ __all__ = ["Event", "SimCounters", "Simulator", "global_counters"]
 #: "fire immediately" instead of crashing mid-simulation.
 PAST_TOLERANCE_S = 1e-9
 
+#: The heap is rebuilt without its cancelled entries once more than this
+#: many are in it and they outnumber the live ones, so a rebuild costs
+#: O(1) amortised per cancel.
+COMPACT_MIN_CANCELLED = 64
+
 
 class SimCounters(NamedTuple):
     """A snapshot of event counters (per simulator or process-wide)."""
@@ -50,22 +61,21 @@ def global_counters() -> SimCounters:
 
 
 class Event:
-    """A scheduled callback; cancel with :meth:`cancel`."""
+    """A scheduled callback; cancel with :meth:`cancel`.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
+    Its time and sequence number live only in the heap entry that holds it.
+    """
 
-    def __init__(
-        self, time: float, seq: int, callback: Callable[..., None], args: tuple[Any, ...]
-    ) -> None:
-        self.time = time
-        self.seq = seq
+    __slots__ = ("callback", "args", "cancelled", "sim")
+
+    def __init__(self, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.sim: "Simulator | None" = None
 
     def cancel(self) -> None:
-        """Prevent the callback from firing (O(1); removal is lazy)."""
+        """Prevent the callback from firing (O(1) amortised; removal is lazy)."""
         if self.cancelled:
             return
         self.cancelled = True
@@ -75,11 +85,9 @@ class Event:
             sim._pending -= 1
             sim.events_cancelled += 1
             _total_cancelled += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+            sim._dead += 1
+            if sim._dead > COMPACT_MIN_CANCELLED and 2 * sim._dead > len(sim._heap):
+                sim._compact()
 
 
 class Simulator:
@@ -96,9 +104,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._pending = 0
+        self._dead = 0  # cancelled entries still in the heap
         self.events_scheduled = 0
         self.events_executed = 0
         self.events_cancelled = 0
@@ -110,13 +119,13 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0.0:  # also rejects NaN, which would poison ``now``
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         global _total_scheduled
         self._seq += 1
-        event = Event(self.now + delay, self._seq, callback, args)
+        event = Event(callback, args)
         event.sim = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
         self._pending += 1
         self.events_scheduled += 1
         _total_scheduled += 1
@@ -141,29 +150,29 @@ class Simulator:
         ``until`` even if the heap drains earlier.
 
         Each dispatch probes virtual-time monotonicity with one float
-        compare.  ``schedule()`` rejects negative delays, so a dispatch
-        behind ``now`` means heap corruption or a mutated ``Event.time``;
-        only then is the auditor called, to flag it.  Tracing is decided
-        once per call and records a dispatch span and a queue-depth sample.
+        compare.  ``schedule()`` rejects negative and NaN delays, so a
+        dispatch behind ``now`` means an entry pushed onto the heap behind
+        ``schedule()``'s back; only then is the auditor called, to flag it.
+        Tracing is decided once per call and records a dispatch span and a
+        queue-depth sample.
         """
         global _total_executed
-        heap = self._heap
+        heap = self._heap  # compaction rebuilds this list in place
         tracer = self.tracer
         traced = tracer.enabled
         now = self.now  # local mirror: one compare per event, no attr load
         while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
+            if until is not None and heap[0][0] > until:
                 break
-            heapq.heappop(heap)
+            etime, _, event = heapq.heappop(heap)
             if event.cancelled:
+                self._dead -= 1
                 continue
             # Detach so a late cancel() on a fired event cannot skew counters.
             event.sim = None
             self._pending -= 1
             self.events_executed += 1
             _total_executed += 1
-            etime = event.time
             if etime < now:
                 self.auditor.flag(
                     "audit.sim.time_regression_s",
@@ -181,6 +190,13 @@ class Simulator:
                 tracer.counter("sim.queue_depth", self.now, float(self._pending))
         if until is not None and self.now < until:
             self.now = until
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry from the heap, in place."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
+        self._dead = 0
 
     def counters(self) -> SimCounters:
         """Snapshot of this simulator's event counters."""

@@ -12,6 +12,7 @@ while keeping everything else fixed (Sec. 4.1).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro import instruments
@@ -108,7 +109,19 @@ class FlowStats:
 
 
 class TcpReceiver:
-    """Receiver half: reassembly cursor plus cumulative ACK generation."""
+    """Receiver half: reassembly cursor plus cumulative ACK generation.
+
+    The SACK scoreboard is kept incrementally, so an ACK costs nothing that
+    grows with the out-of-order backlog: a running byte total of the
+    buffered segments, and their union as sorted, disjoint ``[start, end)``
+    ranges (touching ones merged).  Ranges that end at or below
+    ``rcv_next`` cannot bound a hole and are dropped as it advances.  The
+    ranges grow but never shrink when a ``seq`` is buffered again, so the
+    holes equal a sorted walk over the buffered segments as long as a
+    given ``seq`` always carries the same payload.  Every sender here
+    sends ``min(mss, transfer_bytes - seq)`` at ``seq``, which holds it,
+    even for misaligned, overlapping retransmissions.
+    """
 
     def __init__(self, sim: Simulator, path: NetworkPath, flow_id: int) -> None:
         self.sim = sim
@@ -116,6 +129,9 @@ class TcpReceiver:
         self.flow_id = flow_id
         self.rcv_next = 0
         self._out_of_order: dict[int, int] = {}  # seq -> payload length
+        self._out_of_order_bytes = 0  # sum(self._out_of_order.values())
+        self._sack_starts: list[int] = []
+        self._sack_ends: list[int] = []
         self.bytes_received = 0
         path.on_forward_delivery(self._on_data)
 
@@ -125,12 +141,9 @@ class TcpReceiver:
         payload = packet.meta["payload"]
         self.bytes_received += payload
         if packet.seq == self.rcv_next:
-            self.rcv_next += payload
-            # Drain any contiguous buffered segments.
-            while self.rcv_next in self._out_of_order:
-                self.rcv_next += self._out_of_order.pop(self.rcv_next)
+            self._advance(payload)
         elif packet.seq > self.rcv_next:
-            self._out_of_order[packet.seq] = payload
+            self._buffer(packet.seq, payload)
         ack = Packet(
             flow_id=self.flow_id,
             kind=ACK,
@@ -141,25 +154,56 @@ class TcpReceiver:
                 "ack": self.rcv_next,
                 "ts_echo": packet.meta.get("ts"),
                 "retx_echo": packet.meta.get("retx", False),
-                "sacked": sum(self._out_of_order.values()),
+                "sacked": self._out_of_order_bytes,
                 "holes": self._holes(),
             },
         )
         self.path.send_reverse(ack)
 
+    def _advance(self, payload: int) -> None:
+        """Accept an in-order segment and drain the contiguous buffered ones."""
+        out_of_order = self._out_of_order
+        rcv_next = self.rcv_next + payload
+        while rcv_next in out_of_order:
+            drained = out_of_order.pop(rcv_next)
+            self._out_of_order_bytes -= drained
+            rcv_next += drained
+        self.rcv_next = rcv_next
+        ends = self._sack_ends
+        if ends and ends[0] <= rcv_next:
+            below = bisect_right(ends, rcv_next)
+            del self._sack_starts[:below], ends[:below]
+
+    def _buffer(self, seq: int, payload: int) -> None:
+        """Buffer a segment above ``rcv_next`` and merge it into the ranges."""
+        out_of_order = self._out_of_order
+        self._out_of_order_bytes += payload - out_of_order.get(seq, 0)
+        out_of_order[seq] = payload
+        starts, ends = self._sack_starts, self._sack_ends
+        end = seq + payload
+        first = bisect_left(ends, seq)  # first range ending at or after seq
+        last = bisect_right(starts, end, first)  # past the last starting by end
+        if first == last:
+            starts.insert(first, seq)
+            ends.insert(first, end)
+        else:
+            starts[first:last] = (min(seq, starts[first]),)
+            ends[first:last] = (max(end, ends[last - 1]),)
+
     def _holes(self, limit: int = 16) -> tuple[tuple[int, int], ...]:
         """Missing byte ranges between the cumulative ack and the highest
         out-of-order segment (a bounded SACK scoreboard)."""
-        if not self._out_of_order:
+        starts = self._sack_starts
+        if not starts:
             return ()
         holes: list[tuple[int, int]] = []
         cursor = self.rcv_next
-        for seq in sorted(self._out_of_order):
-            if seq > cursor:
-                holes.append((cursor, seq))
+        for start, end in zip(starts, self._sack_ends):
+            if start > cursor:
+                holes.append((cursor, start))
                 if len(holes) >= limit:
                     break
-            cursor = max(cursor, seq + self._out_of_order[seq])
+            cursor = end
         return tuple(holes)
 
 

@@ -34,7 +34,9 @@ class Bbr(CongestionControl):
     def __init__(self, mss_bytes: int, rate_scale: float = 1.0) -> None:
         super().__init__(mss_bytes, rate_scale)
         self.state = "STARTUP"
-        self._bw_samples: deque[tuple[int, float]] = deque()  # (round, bps)
+        # (round, bps), rates strictly decreasing: a sample is dropped once
+        # a later one is at least as fast, so the front is the windowed max.
+        self._bw_samples: deque[tuple[int, float]] = deque()
         self._round = 0
         self._round_start_delivered = 0
         self._delivered = 0
@@ -55,7 +57,7 @@ class Bbr(CongestionControl):
         """Windowed-max bottleneck bandwidth estimate."""
         if not self._bw_samples:
             return 8.0 * self.mss / 0.01  # arbitrary small bootstrap rate
-        return max(bw for _, bw in self._bw_samples)
+        return self._bw_samples[0][1]
 
     @property
     def min_rtt_s(self) -> float:
@@ -88,9 +90,12 @@ class Bbr(CongestionControl):
             self._min_rtt_stamp = now
 
         if delivery_rate_bps is not None and delivery_rate_bps > 0:
-            self._bw_samples.append((self._round, delivery_rate_bps))
-            while self._bw_samples and self._bw_samples[0][0] < self._round - _BW_WINDOW_ROUNDS:
-                self._bw_samples.popleft()
+            samples = self._bw_samples
+            while samples and samples[-1][1] <= delivery_rate_bps:
+                samples.pop()
+            samples.append((self._round, delivery_rate_bps))
+            while samples[0][0] < self._round - _BW_WINDOW_ROUNDS:
+                samples.popleft()
 
         self._advance_state(now)
         self._set_cwnd()

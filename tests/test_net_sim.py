@@ -54,9 +54,12 @@ class TestSimulator:
         sim.run()
         assert fired == ["early", "late"]
 
-    def test_negative_delay_rejected(self):
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_negative_delay_rejected(self, delay):
+        # NaN compares false both ways, so only ``not delay >= 0`` catches
+        # it; accepted, it would fire first and set ``now`` to NaN.
         with pytest.raises(ValueError):
-            Simulator().schedule(-1.0, lambda: None)
+            Simulator().schedule(delay, lambda: None)
 
     def test_schedule_at(self):
         sim = Simulator()
@@ -106,12 +109,13 @@ class TestSimulator:
         sim.run()
         assert fired == ["x"]
 
-    def test_schedule_at_genuinely_past_rejected(self):
+    @pytest.mark.parametrize("time", [0.5, float("nan")])
+    def test_schedule_at_genuinely_past_rejected(self, time):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            sim.schedule_at(0.5, lambda: None)
+            sim.schedule_at(time, lambda: None)
 
     def test_event_counters(self):
         sim = Simulator()
