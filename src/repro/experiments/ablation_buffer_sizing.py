@@ -16,15 +16,12 @@ from dataclasses import dataclass
 
 from repro.core.results import ResultTable
 from repro.core.stats import percent
-from repro.core.rng import default_rng
 from repro.core.config import RadioProfile
 from repro.experiments.common import DEFAULT_SEED
-from repro.net.path import PathConfig, build_cellular_path
+from repro.net.path import PathConfig
 from repro.qdisc import RemedySection
 from repro.scenario import Scenario, resolve_scenario
-from repro.net.sim import Simulator
-from repro.transport.base import TcpConnection
-from repro.transport.iperf import make_cc, run_tcp, run_udp_baseline
+from repro.transport.iperf import run_tcp, run_udp_baseline
 
 __all__ = ["BufferAblationResult", "BUFFER_MULTIPLIERS", "QDISC_AXIS", "run"]
 
@@ -78,19 +75,11 @@ def _run_with_buffer(
     baseline: float,
     profile: RadioProfile,
 ) -> float:
-    """One 5G TCP run with the wired buffer scaled by ``multiplier``."""
-    config = PathConfig(profile=profile, scale=scale)
-    sim = Simulator()
-    rng = default_rng(seed)
-    path = build_cellular_path(sim, config, rng)
-    extra = int(path.wired_link.queue.capacity_packets * (multiplier - 1.0))
-    path.wired_link.queue.capacity_packets += extra
-    cc = make_cc(algorithm, config.mss_bytes, rate_scale=scale)
-    conn = TcpConnection.establish(sim, path, cc)
-    conn.start()
-    duration = 30.0
-    sim.run(until=duration)
-    return conn.sender.stats.throughput_bps(duration) / baseline
+    """One 30 s 5G TCP run's utilization, wired buffer scaled by ``multiplier``."""
+    config = PathConfig(
+        profile=profile, scale=scale, remedy=RemedySection(wired_buffer_ratio=multiplier)
+    )
+    return run_tcp(config, algorithm, duration_s=30.0, seed=seed, baseline_bps=baseline).utilization
 
 
 def run(

@@ -1,6 +1,6 @@
 """Packet-level network simulation: event loop, links, paths, servers."""
 
-from repro.net.link import CrossTraffic, DropTailQueue, Link
+from repro.net.link import CrossTraffic, Link
 from repro.net.packet import ACK, DATA, PROBE, Packet
 from repro.net.path import NetworkPath, PathConfig, build_cellular_path
 from repro.net.servers import CAMPUS_GEO, SPEEDTEST_SERVERS, SpeedtestServer
@@ -11,7 +11,6 @@ __all__ = [
     "CAMPUS_GEO",
     "CrossTraffic",
     "DATA",
-    "DropTailQueue",
     "Event",
     "Link",
     "NetworkPath",

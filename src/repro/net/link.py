@@ -1,10 +1,13 @@
-"""Links with DropTail buffers, and bursty cross-traffic modulation.
+"""Links with finite buffers, and bursty cross-traffic modulation.
 
-A :class:`Link` models one forwarding hop: a finite DropTail queue feeding
-a serializer of some rate, followed by a propagation delay.  Queue
-overflow is the only loss mechanism in the wired network — exactly the
-bottleneck the paper identifies (Sec. 4.2): core-Internet router buffers
-sized for 4G-era flows overflow in bursts under 5G-scale workloads.
+A :class:`Link` models one forwarding hop: a queue discipline
+(:mod:`repro.qdisc`) feeding a serializer of some rate, followed by a
+propagation delay.  The deployed buffer is a finite drop-tail FIFO, and
+its overflow is the only loss mechanism in the wired network — exactly
+the bottleneck the paper identifies (Sec. 4.2): core-Internet router
+buffers sized for 4G-era flows overflow in bursts under 5G-scale
+workloads.  The remedies (CoDel, FQ-CoDel, CAKE) take the FIFO's place
+through the same contract.
 
 Cross traffic is modelled as an ON/OFF modulation of the link's available
 rate rather than as individual packets, which keeps event counts
@@ -14,7 +17,6 @@ paper's Fig. 11 loss pattern.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -24,73 +26,12 @@ from repro import instruments
 from repro.metrics.core import fold_metric_name
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
+from repro.qdisc.droptail import DropTailQueue
 
 if TYPE_CHECKING:
     from repro.qdisc.base import Qdisc
 
-__all__ = ["DropTailQueue", "Link", "CrossTraffic", "DelayProcess"]
-
-
-class DropTailQueue:
-    """A finite FIFO of packets; arrivals beyond capacity are dropped.
-
-    Counts both packets and bytes.  ``capacity_bytes`` switches on a
-    byte cap *in addition to* the packet cap — real router buffers are
-    sized in bytes, and the AQM remedies (``repro.qdisc``) reason in
-    bytes, so the baseline they are compared against tracks them too.
-    """
-
-    def __init__(self, capacity_packets: int, capacity_bytes: int | None = None) -> None:
-        if capacity_packets < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity_packets}")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError(f"byte capacity must be >= 1, got {capacity_bytes}")
-        self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
-        self._queue: deque[Packet] = deque()
-        self._bytes = 0
-        self.drops = 0
-        self.enqueued = 0
-        self.dequeued = 0
-        self.enqueued_bytes = 0
-        self.dequeued_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def push(self, packet: Packet) -> bool:
-        """Enqueue; returns False (and counts a drop) when full."""
-        if len(self._queue) >= self.capacity_packets or (
-            self.capacity_bytes is not None
-            and self._bytes + packet.size_bytes > self.capacity_bytes
-        ):
-            self.drops += 1
-            return False
-        self._queue.append(packet)
-        self._bytes += packet.size_bytes
-        self.enqueued += 1
-        self.enqueued_bytes += packet.size_bytes
-        return True
-
-    def pop(self) -> Packet | None:
-        """Dequeue the head packet, or None when empty."""
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
-        self.dequeued += 1
-        self.dequeued_bytes += packet.size_bytes
-        return packet
-
-    @property
-    def occupancy(self) -> int:
-        """Packets currently queued."""
-        return len(self._queue)
-
-    @property
-    def occupancy_bytes(self) -> int:
-        """Bytes currently queued."""
-        return self._bytes
+__all__ = ["Link", "CrossTraffic", "DelayProcess"]
 
 
 class CrossTraffic:
@@ -171,18 +112,21 @@ class DelayProcess:
 
 
 class Link:
-    """One hop: DropTail queue -> serializer -> propagation delay.
+    """One hop: queue discipline -> serializer -> propagation delay.
 
     Args:
         sim: Shared simulator.
         rate_bps: Serialization rate.
         delay_s: One-way propagation delay.
-        queue_capacity_packets: Router buffer at the link entrance.
+        queue_capacity_packets: Depth of the drop-tail FIFO built when no
+            ``qdisc`` is given.
         name: Label for diagnostics.
         cross_traffic: Optional background-load modulation.
-        qdisc: Optional queue discipline replacing the DropTail buffer
-            (see :mod:`repro.qdisc`).  ``None`` keeps the seed's exact
-            DropTail event schedule.
+        qdisc: Optional queue discipline (see :mod:`repro.qdisc`); the
+            default is a drop-tail FIFO of ``queue_capacity_packets``.
+
+    ``queue`` is the one buffer: every discipline is enqueued, dequeued,
+    audited and read through the :class:`~repro.qdisc.base.Qdisc` contract.
     """
 
     def __init__(
@@ -203,13 +147,11 @@ class Link:
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay_s = delay_s
-        self.qdisc = qdisc
-        if qdisc is not None:
-            # Alias so capacity/drops/occupancy readers see one buffer.
-            self.queue = qdisc
-            qdisc.on_drop = self._record_drop
-        else:
-            self.queue = DropTailQueue(queue_capacity_packets)
+        queue = qdisc
+        if queue is None:
+            queue = DropTailQueue(queue_capacity_packets)
+        queue.on_drop = self._record_drop
+        self.queue = queue
         self.name = name
         self.cross_traffic = cross_traffic
         self.sink: Callable[[Packet], None] | None = None
@@ -237,71 +179,27 @@ class Link:
 
         Each watch is a closure re-evaluated at audit checkpoints; a
         nonzero residual means a packet or byte was created or destroyed
-        outside the enqueue/dequeue/drop bookkeeping.
+        outside the enqueue/dequeue/drop bookkeeping.  The discipline
+        watches its own books; the hop adds capacity and transit.
         """
         auditor = self._auditor
         n = fold_metric_name(self.name)
         self._audit_idle_name = f"audit.link.{n}.idle_occupancy_pkts"
         queue = self.queue
-        if self.qdisc is not None:
-            qdisc = self.qdisc
-            stats = qdisc.stats
-            auditor.watch(
-                f"audit.link.{n}.queue_residual_pkts",
-                lambda: stats.enqueued - stats.dequeued - stats.aqm_drops - qdisc.occupancy,
-            )
-            auditor.watch(
-                f"audit.link.{n}.queue_residual_bytes",
-                lambda: stats.enqueued_bytes
-                - stats.dequeued_bytes
-                - stats.aqm_dropped_bytes
-                - qdisc.occupancy_bytes,
-            )
-            auditor.watch(
-                f"audit.link.{n}.occupancy_residual_pkts",
-                lambda: qdisc.occupancy_residual()[0],
-            )
-            auditor.watch(
-                f"audit.link.{n}.occupancy_residual_bytes",
-                lambda: qdisc.occupancy_residual()[1],
-            )
-            auditor.watch(
-                f"audit.link.{n}.sojourn_bounds_s",
-                lambda: max(0.0, -stats.last_sojourn_s),
-            )
-        else:
-            auditor.watch(
-                f"audit.link.{n}.queue_residual_pkts",
-                lambda: queue.enqueued - queue.dequeued - queue.occupancy,
-            )
-            auditor.watch(
-                f"audit.link.{n}.queue_residual_bytes",
-                lambda: queue.enqueued_bytes - queue.dequeued_bytes - queue.occupancy_bytes,
-            )
-        if getattr(queue, "capacity_packets", None) is not None:
-            # Capacity is read per checkpoint: experiments resize buffers after construction.
-            auditor.watch(
-                f"audit.link.{n}.occupancy_bounds_pkts",
-                lambda: max(0, -queue.occupancy)
-                + max(0, queue.occupancy - queue.capacity_packets),
-            )
+        queue.register_audit(auditor, n)
+        # Capacity is read per checkpoint: experiments resize buffers after construction.
+        auditor.watch(
+            f"audit.link.{n}.occupancy_bounds_pkts",
+            lambda: max(0, -queue.occupancy) + max(0, queue.occupancy - queue.capacity_packets),
+        )
+        stats = queue.stats
         auditor.watch(
             f"audit.link.{n}.transit_residual_pkts",
-            lambda: self._dequeued_total() - self.delivered - self._in_transit,
+            lambda: stats.dequeued - self.delivered - self._in_transit,
         )
         auditor.watch(
             f"audit.link.{n}.transit_residual_bytes",
-            lambda: self._dequeued_total_bytes() - self.delivered_bytes - self._in_transit_bytes,
-        )
-
-    def _dequeued_total(self) -> int:
-        return self.qdisc.stats.dequeued if self.qdisc is not None else self.queue.dequeued
-
-    def _dequeued_total_bytes(self) -> int:
-        return (
-            self.qdisc.stats.dequeued_bytes
-            if self.qdisc is not None
-            else self.queue.dequeued_bytes
+            lambda: stats.dequeued_bytes - self.delivered_bytes - self._in_transit_bytes,
         )
 
     def connect(self, sink: Callable[[Packet], None]) -> None:
@@ -312,11 +210,7 @@ class Link:
         """Offer a packet to this hop; drops silently on overflow."""
         if self.sink is None:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
-        if self.qdisc is not None:
-            accepted = self.qdisc.enqueue(packet, self.sim.now)
-        else:
-            accepted = self.queue.push(packet)
-        if not accepted:
+        if not self.queue.enqueue(packet, self.sim.now):
             self.dropped_packets.append(packet.packet_id)
             return
         if self._tracer.enabled:
@@ -353,35 +247,22 @@ class Link:
         return rate
 
     def _transmit_next(self) -> None:
-        if self.qdisc is not None:
-            packet = self.qdisc.dequeue(self.sim.now)
-            if packet is None:
-                self._busy = False
-                # Shaped qdiscs may hold packets back; wake up when the
-                # next one becomes eligible instead of going idle.
+        queue = self.queue
+        packet = queue.dequeue(self.sim.now)
+        if packet is None:
+            self._busy = False
+            # Links go idle about once per packet, so one byte-book read
+            # decides.  Bytes left mean a shaped discipline holds packets
+            # back (wake when the next becomes eligible) or, with no wake
+            # pending, a book that leaked.
+            if queue.occupancy_bytes:
                 self._schedule_wake()
-                # Inline occupancy test: links go idle ~100k times per run,
-                # so the helper (and its kwargs) run only on violation.
-                if (
-                    self._auditor.enabled
-                    and not self._wake_pending
-                    and self.queue.occupancy
-                ):
+                if self._auditor.enabled and not self._wake_pending:
                     self._audit_idle_probe()
-                return
-            self.qdisc.stats.dequeued += 1
-            self.qdisc.stats.dequeued_bytes += packet.size_bytes
-        else:
-            packet = self.queue.pop()
-            if packet is None:
-                self._busy = False
-                # pop() returning None already proves the deque is empty,
-                # so the only book that can drift here is the byte counter;
-                # an int attribute load keeps the ~100k-per-run idle path
-                # free of property-call overhead.
-                if self._auditor.enabled and self.queue._bytes:
-                    self._audit_idle_probe()
-                return
+            return
+        stats = queue.stats
+        stats.dequeued += 1
+        stats.dequeued_bytes += packet.size_bytes
         self._in_transit += 1
         self._in_transit_bytes += packet.size_bytes
         self._busy = True
@@ -403,8 +284,7 @@ class Link:
             self._transmit_next()
 
     def _schedule_wake(self) -> None:
-        assert self.qdisc is not None
-        ready_s = self.qdisc.next_ready_s(self.sim.now)
+        ready_s = self.queue.next_ready_s(self.sim.now)
         if ready_s is None or self._wake_pending:
             return
         self._wake_pending = True
@@ -417,8 +297,8 @@ class Link:
 
     def _audit_idle_probe(self) -> None:
         """Going idle must mean an empty book: dequeue() said "no packet"
-        with no shaped hold-back pending, so a nonzero occupancy book is
-        an accounting leak (the structure is empty, the counter is not).
+        with no shaped hold-back pending, so a nonzero byte book is an
+        accounting leak (the structure is empty, the counter is not).
         Callers inline the occupancy test, so reaching here *is* the
         violation."""
         self._auditor.flag(

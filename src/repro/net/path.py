@@ -278,28 +278,19 @@ class _StallProcess:
         self._schedule_next()
 
 
-def build_cellular_path(
-    sim: Simulator,
-    config: PathConfig,
-    rng: np.random.Generator,
-) -> NetworkPath:
-    """Construct the full UE-to-server path for one measurement flow.
+def _build_links(
+    sim: Simulator, config: PathConfig, rng: np.random.Generator
+) -> tuple[Link, Link, Link, float]:
+    """The wired bottleneck, core and radio-access links, and the ACK rate.
 
-    The data direction runs: wired hops (server side) -> core segment ->
-    radio access -> UE for downlink, and the mirror image for uplink.
-    Acknowledgements flow the other way over lightly-loaded links.
-
-    ``rng`` drives cross-traffic bursts and radio scheduling stalls; it
-    is required (no hidden seed-0 fallback) so every path built in a
-    campaign inherits the campaign seed — thread one in from
-    :func:`repro.core.rng.default_rng` or an ``RngFactory`` stream.
+    Also starts the radio's scheduling-stall process.  Construction order
+    is fixed: it orders the audit watches and the ``derive(rng)`` draws.
     """
     generation = config.profile.generation
     scale = config.scale
 
     access_rate = config.access_rate_bps() * scale
     wired_rate = _WIRED_RATE_BPS * scale
-    ack_rate = max(access_rate, wired_rate)
 
     wired_delay = (
         _WIRED_HOP_DELAY_S * config.wired_hops
@@ -320,8 +311,10 @@ def build_cellular_path(
     wired_buffer = max(8, int(_WIRED_BUFFER_PKTS[generation] * scale))
     ran_buffer = max(8, int(_RAN_BUFFER_PKTS[generation] * scale))
     if remedy.wired_buffer_ratio != 1.0:
-        # Same arithmetic as the historical ablation hack (cap += extra)
-        # so the drop-tail buffer-sizing golden KPIs carry over exactly.
+        # cap += int(cap * (ratio - 1)), not int(cap * ratio): the
+        # buffer-sizing ablation's results depend on this rounding.  The
+        # core buffer follows at 4x, but the core serves at 4x the wired
+        # rate right behind it, so its queue never holds over one packet.
         wired_buffer += int(wired_buffer * (remedy.wired_buffer_ratio - 1.0))
 
     wired_qdisc = (
@@ -365,18 +358,46 @@ def build_cellular_path(
 
     if config.with_scheduling_stalls:
         _StallProcess(sim, access, derive(rng))
+    return wired, core, access, max(access_rate, wired_rate)
 
-    if config.direction == "dl":
-        forward = [wired, core, access]
-    else:
-        forward = [access, core, wired]
 
-    reverse = [
-        Link(sim, ack_rate, link.delay_s, queue_capacity_packets=100_000, name=f"ack-{link.name}")
+def _ack_links(sim: Simulator, forward: list[Link], ack_rate_bps: float) -> list[Link]:
+    """Lightly loaded links carrying ACKs back along ``forward``."""
+    return [
+        Link(
+            sim,
+            ack_rate_bps,
+            link.delay_s,
+            queue_capacity_packets=100_000,
+            name=f"ack-{link.name}",
+        )
         for link in reversed(forward)
     ]
-    path = NetworkPath(sim, config, forward, reverse, access_link=access, wired_link=wired)
-    path.autorate = _arm_autorate(sim, remedy, wired, access)
+
+
+def build_cellular_path(
+    sim: Simulator,
+    config: PathConfig,
+    rng: np.random.Generator,
+) -> NetworkPath:
+    """Construct the full UE-to-server path for one measurement flow.
+
+    The data direction runs: wired hops (server side) -> core segment ->
+    radio access -> UE for downlink, and the mirror image for uplink.
+    Acknowledgements flow the other way over lightly-loaded links.
+
+    ``rng`` drives cross-traffic bursts and radio scheduling stalls; it
+    is required (no hidden seed-0 fallback) so every path built in a
+    campaign inherits the campaign seed — thread one in from
+    :func:`repro.core.rng.default_rng` or an ``RngFactory`` stream.
+    """
+    wired, core, access, ack_rate = _build_links(sim, config, rng)
+    forward = [wired, core, access] if config.direction == "dl" else [access, core, wired]
+    path = NetworkPath(
+        sim, config, forward, _ack_links(sim, forward, ack_rate),
+        access_link=access, wired_link=wired,
+    )
+    path.autorate = _arm_autorate(sim, config.remedy, wired, access)
     return path
 
 
@@ -387,11 +408,11 @@ def _arm_autorate(
     if not remedy.autorate:
         return None
     for link in (wired, access):
-        if isinstance(link.qdisc, CakeQueue):
+        if isinstance(link.queue, CakeQueue):
             return AutorateController(
                 sim,
                 link,
-                link.qdisc,
+                link.queue,
                 target_s=remedy.target_ms / 1e3,
                 interval_s=remedy.autorate_interval_ms / 1e3,
                 floor_ratio=remedy.autorate_floor_ratio,
@@ -417,99 +438,15 @@ def build_split_paths(
     The remedy's qdisc settings still apply to the WAN bottleneck, so a
     PEP can be combined with AQM.
     """
-    generation = config.profile.generation
-    scale = config.scale
-
-    access_rate = config.access_rate_bps() * scale
-    wired_rate = _WIRED_RATE_BPS * scale
-    ack_rate = max(access_rate, wired_rate)
-
-    wired_delay = (
-        _WIRED_HOP_DELAY_S * config.wired_hops
-        + _FIBER_S_PER_KM * config.server_distance_km
-    )
-    cross = (
-        CrossTraffic(
-            rng,
-            burst_fraction=_CROSS_BURST_FRACTION,
-            mean_on_s=_CROSS_MEAN_ON_S,
-            mean_off_s=_CROSS_MEAN_OFF_S,
-        )
-        if config.with_cross_traffic
-        else None
-    )
-
-    remedy = config.remedy
-    wired_buffer = max(8, int(_WIRED_BUFFER_PKTS[generation] * scale))
-    ran_buffer = max(8, int(_RAN_BUFFER_PKTS[generation] * scale))
-    if remedy.wired_buffer_ratio != 1.0:
-        wired_buffer += int(wired_buffer * (remedy.wired_buffer_ratio - 1.0))
-
-    wired_qdisc = (
-        make_qdisc(remedy, wired_buffer, wired_rate)
-        if remedy.apply_to in ("wired", "both")
-        else None
-    )
-    access_qdisc = (
-        make_qdisc(remedy, ran_buffer, access_rate)
-        if remedy.apply_to in ("access", "both")
-        else None
-    )
-
-    wired = Link(
-        sim,
-        wired_rate,
-        wired_delay,
-        queue_capacity_packets=wired_buffer,
-        name="wired-bottleneck",
-        cross_traffic=cross,
-        qdisc=wired_qdisc,
-    )
-    core = Link(
-        sim,
-        wired_rate * 4,
-        _CORE_DELAY_S[generation],
-        queue_capacity_packets=wired_buffer * 4,
-        name="core",
-    )
-    access = Link(
-        sim,
-        access_rate,
-        _RAN_DELAY_S[generation],
-        queue_capacity_packets=ran_buffer,
-        name="radio-access",
-        delay_process=DelayProcess(derive(rng))
-        if config.with_scheduling_stalls
-        else None,
-        qdisc=access_qdisc,
-    )
-
-    if config.with_scheduling_stalls:
-        _StallProcess(sim, access, derive(rng))
-
-    if config.direction == "dl":
-        wan_forward = [wired, core]
-    else:
-        wan_forward = [core, wired]
-    ran_forward = [access]
-
-    def _acks(forward: list[Link]) -> list[Link]:
-        return [
-            Link(
-                sim,
-                ack_rate,
-                link.delay_s,
-                queue_capacity_packets=100_000,
-                name=f"ack-{link.name}",
-            )
-            for link in reversed(forward)
-        ]
-
+    wired, core, access, ack_rate = _build_links(sim, config, rng)
+    wan_forward = [wired, core] if config.direction == "dl" else [core, wired]
     wan_path = NetworkPath(
-        sim, config, wan_forward, _acks(wan_forward), access_link=core, wired_link=wired
+        sim, config, wan_forward, _ack_links(sim, wan_forward, ack_rate),
+        access_link=core, wired_link=wired,
     )
     ran_path = NetworkPath(
-        sim, config, ran_forward, _acks(ran_forward), access_link=access, wired_link=access
+        sim, config, [access], _ack_links(sim, [access], ack_rate),
+        access_link=access, wired_link=access,
     )
-    wan_path.autorate = _arm_autorate(sim, remedy, wired, access)
+    wan_path.autorate = _arm_autorate(sim, config.remedy, wired, access)
     return wan_path, ran_path

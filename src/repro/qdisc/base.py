@@ -1,20 +1,23 @@
 """The queue-discipline contract every :class:`repro.net.link.Link` buffer obeys.
 
-The seed network had exactly one buffer type — the DropTail FIFO whose
-under-provisioning *is* the paper's TCP anomaly (Sec. 4.2).  This module
-extracts its implicit interface into an explicit protocol so remedies
-(CoDel, FQ-CoDel, CAKE) plug into the same link machinery:
+The paper's TCP anomaly (Sec. 4.2) is a story about one buffer, the
+under-provisioned drop-tail FIFO (:class:`repro.qdisc.droptail.DropTailQueue`).
+It and the remedies judged against it (CoDel, FQ-CoDel, CAKE) implement
+one protocol, so a link holds any of them through the same code path:
 
 * ``enqueue(packet, now_s)`` — offer a packet; ``False`` means the
   arriving packet was tail-dropped (the caller records the loss).
 * ``dequeue(now_s)`` — hand the serializer the next packet, or ``None``.
   AQM disciplines may drop queued packets *inside* this call (CoDel's
   head drops); those losses surface through the ``on_drop`` callback,
-  never through the return value.
+  never through the return value.  The owner counts what it dequeued
+  in ``stats.dequeued`` / ``stats.dequeued_bytes``.
 * ``next_ready_s(now_s)`` — for shaped disciplines (CAKE), the virtual
   time at which a withheld packet becomes eligible; the link schedules a
   wake-up instead of busy-polling.  Work-conserving queues return
   ``None``.
+* ``register_audit(auditor, n)`` — watch the discipline's own books as
+  ``audit.link.<n>.*`` conservation ledgers.
 
 Both packet and byte occupancy are first-class: AQM control laws reason
 in sojourn time and bytes, while the paper's buffer estimates (Tab. 3)
@@ -32,7 +35,8 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     # Type-only: a runtime import would cycle through repro.net/__init__
-    # back into this package (net.path builds qdiscs).
+    # back into this package (net.link builds drop-tail queues).
+    from repro.audit.core import Auditor
     from repro.net.packet import Packet
 
 __all__ = ["QdiscStats", "Qdisc"]
@@ -108,13 +112,17 @@ class Qdisc(ABC):
     ``occupancy``/``occupancy_bytes`` coherent.  ``on_drop`` is invoked
     for every packet discarded *after* it was accepted (AQM head drops,
     overload reclaims); tail rejections are signalled by ``enqueue``
-    returning ``False``.
+    returning ``False``.  ``capacity_packets`` bounds the packets held;
+    owners may resize it after construction.
     """
 
     #: Name under which the factory registers the discipline.
     name: str = "abstract"
 
-    def __init__(self) -> None:
+    def __init__(self, capacity_packets: int) -> None:
+        if capacity_packets < 1:
+            raise ValueError(f"queue capacity must be >= 1, got {capacity_packets}")
+        self.capacity_packets = capacity_packets
         self.stats = QdiscStats()
         self.on_drop: Callable[[Packet], None] | None = None
 
@@ -141,6 +149,39 @@ class Qdisc(ABC):
     def next_ready_s(self, now_s: float) -> float | None:
         """When a withheld packet becomes eligible (shaped qdiscs only)."""
         return None
+
+    def register_audit(self, auditor: Auditor, n: str) -> None:
+        """Watch this discipline's books as ``audit.link.<n>.*`` ledgers.
+
+        Flow conservation in packets and bytes, the books against a
+        recount of the live structure, and the sign of the last sojourn.
+        """
+        self._watch_queue_residuals(auditor, n)
+        auditor.watch(
+            f"audit.link.{n}.occupancy_residual_pkts", lambda: self.occupancy_residual()[0]
+        )
+        auditor.watch(
+            f"audit.link.{n}.occupancy_residual_bytes", lambda: self.occupancy_residual()[1]
+        )
+        stats = self.stats
+        auditor.watch(
+            f"audit.link.{n}.sojourn_bounds_s", lambda: max(0.0, -stats.last_sojourn_s)
+        )
+
+    def _watch_queue_residuals(self, auditor: Auditor, n: str) -> None:
+        """Accepted = dequeued + control-law drops + still queued."""
+        stats = self.stats
+        auditor.watch(
+            f"audit.link.{n}.queue_residual_pkts",
+            lambda: stats.enqueued - stats.dequeued - stats.aqm_drops - self.occupancy,
+        )
+        auditor.watch(
+            f"audit.link.{n}.queue_residual_bytes",
+            lambda: stats.enqueued_bytes
+            - stats.dequeued_bytes
+            - stats.aqm_dropped_bytes
+            - self.occupancy_bytes,
+        )
 
     # -- shared bookkeeping ---------------------------------------------
 
@@ -179,9 +220,9 @@ class Qdisc(ABC):
     def _forward_drop(self, packet: Packet) -> None:
         """Relay a child qdisc's drop to this qdisc's owner, uncounted.
 
-        Composite disciplines (FQ-CoDel, CAKE) account for sub-queue
-        drops themselves via occupancy deltas; this hook only keeps the
-        owner's callback informed.
+        Composite disciplines (FQ-CoDel, CAKE) book sub-queue drops
+        themselves from the counts their flow records return; this hook
+        only keeps the owner's callback informed.
         """
         if self.on_drop is not None:
             self.on_drop(packet)

@@ -29,24 +29,13 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.qdisc.base import Qdisc
-from repro.qdisc.codel import DEFAULT_INTERVAL_S, DEFAULT_TARGET_S, CoDelQueue
-from repro.qdisc.fq_codel import flow_hash
+from repro.qdisc.codel import DEFAULT_INTERVAL_S, DEFAULT_TARGET_S
+from repro.qdisc.fq_codel import _Flow, flow_hash
 
 if TYPE_CHECKING:
     from repro.net.packet import Packet
 
 __all__ = ["CakeQueue"]
-
-
-class _CakeFlow:
-    __slots__ = ("codel", "deficit_bytes", "active")
-
-    def __init__(self, capacity_packets: int, target_s: float, interval_s: float) -> None:
-        self.codel = CoDelQueue(
-            capacity_packets=capacity_packets, target_s=target_s, interval_s=interval_s
-        )
-        self.deficit_bytes = 0
-        self.active = False
 
 
 class _CakeHost:
@@ -55,7 +44,7 @@ class _CakeHost:
     __slots__ = ("flows", "ring", "deficit_bytes", "active")
 
     def __init__(self) -> None:
-        self.flows: dict[int, _CakeFlow] = {}
+        self.flows: dict[int, _Flow] = {}
         self.ring: deque[int] = deque()
         self.deficit_bytes = 0
         self.active = False
@@ -76,13 +65,15 @@ class CakeQueue(Qdisc):
         hosts_count: int = 16,
         quantum_bytes: int = 1514,
     ) -> None:
+        super().__init__(capacity_packets)
         if shaper_rate_bps <= 0:
             raise ValueError(f"shaper rate must be positive, got {shaper_rate_bps}")
         if flows_count < 1 or hosts_count < 1:
             raise ValueError("flows_count and hosts_count must be >= 1")
-        super().__init__()
+        if quantum_bytes < 1:
+            # A zero quantum would rotate the DRR rings forever.
+            raise ValueError(f"quantum_bytes must be >= 1, got {quantum_bytes}")
         self.shaper_rate_bps = shaper_rate_bps
-        self.capacity_packets = capacity_packets
         self.flows_count = flows_count
         self.hosts_count = hosts_count
         self.quantum_bytes = quantum_bytes
@@ -119,8 +110,9 @@ class CakeQueue(Qdisc):
             self._hosts[host_bucket] = host
         flow = host.flows.get(flow_bucket)
         if flow is None:
-            flow = _CakeFlow(self.capacity_packets, self._target_s, self._interval_s)
-            flow.codel.on_drop = self._forward_drop
+            flow = _Flow(
+                self.capacity_packets, self._target_s, self._interval_s, self._forward_drop
+            )
             host.flows[flow_bucket] = flow
         if not flow.codel.enqueue(packet, now_s):
             self.stats.drops += 1
@@ -172,24 +164,12 @@ class CakeQueue(Qdisc):
                 flow.deficit_bytes += self.quantum_bytes
                 host.ring.rotate(-1)
                 continue
-            before = flow.codel.occupancy
-            before_aqm_bytes = flow.codel.stats.aqm_dropped_bytes
-            packet = flow.codel.dequeue(now_s)
-            dropped = before - flow.codel.occupancy - (1 if packet is not None else 0)
+            packet, dropped, dropped_bytes = flow.dequeue(now_s)
             if dropped:
                 self._pkts -= dropped
-                self._bytes = sum(
-                    f.codel.occupancy_bytes for h in self._hosts.values() for f in h.flows.values()
-                )
-                if packet is not None:
-                    # The recompute excluded the just-popped packet, but
-                    # dequeue() subtracts it from the total on return —
-                    # add it back so that subtraction lands on zero.
-                    self._bytes += packet.size_bytes
+                self._bytes -= dropped_bytes
                 self.stats.aqm_drops += dropped
-                self.stats.aqm_dropped_bytes += (
-                    flow.codel.stats.aqm_dropped_bytes - before_aqm_bytes
-                )
+                self.stats.aqm_dropped_bytes += dropped_bytes
             if packet is None:
                 host.ring.popleft()
                 flow.active = False

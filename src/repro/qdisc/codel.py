@@ -34,9 +34,13 @@ __all__ = ["CoDelQueue"]
 DEFAULT_TARGET_S = 0.005
 DEFAULT_INTERVAL_S = 0.100
 
+#: A queue holding at most one MTU is never "standing" (RFC 8289's
+#: ``maxpacket`` test): dropping from it cannot shorten the delay.
+_MTU_BYTES = 1514
+
 
 class CoDelQueue(Qdisc):
-    """A CoDel-managed FIFO with packet and (optional) byte caps."""
+    """A CoDel-managed FIFO with a packet cap."""
 
     name = "codel"
 
@@ -51,19 +55,12 @@ class CoDelQueue(Qdisc):
         capacity_packets: int = 1000,
         target_s: float = DEFAULT_TARGET_S,
         interval_s: float = DEFAULT_INTERVAL_S,
-        capacity_bytes: int | None = None,
-        mtu_bytes: int = 1514,
     ) -> None:
-        if capacity_packets < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity_packets}")
+        super().__init__(capacity_packets)
         if target_s <= 0 or interval_s <= 0:
             raise ValueError("CoDel target/interval must be positive")
-        super().__init__()
-        self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
         self.target_s = target_s
         self.interval_s = interval_s
-        self.mtu_bytes = mtu_bytes
         self._queue: deque[tuple[Packet, float]] = deque()
         self._bytes = 0
         self._fault_tick = 0
@@ -77,10 +74,7 @@ class CoDelQueue(Qdisc):
     # -- queue mechanics -------------------------------------------------
 
     def enqueue(self, packet: Packet, now_s: float) -> bool:
-        if len(self._queue) >= self.capacity_packets or (
-            self.capacity_bytes is not None
-            and self._bytes + packet.size_bytes > self.capacity_bytes
-        ):
+        if len(self._queue) >= self.capacity_packets:
             self.stats.drops += 1
             return False
         self._queue.append((packet, now_s))
@@ -111,7 +105,7 @@ class CoDelQueue(Qdisc):
     def _should_drop(self, now_s: float) -> bool:
         """RFC 8289 ``ok_to_drop``: has the minimum sojourn stayed above
         target for a full interval?  Called after sojourn bookkeeping."""
-        if self.stats.last_sojourn_s < self.target_s or self._bytes <= self.mtu_bytes:
+        if self.stats.last_sojourn_s < self.target_s or self._bytes <= _MTU_BYTES:
             # Below target (or queue too small to matter): reset the clock.
             self._first_above_time_s = 0.0
             return False

@@ -19,6 +19,7 @@ Each sub-queue runs the same CoDel control law as
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.qdisc.base import Qdisc
@@ -40,16 +41,36 @@ def flow_hash(flow_id: int, buckets: int) -> int:
 
 
 class _Flow:
-    """One sub-queue: a CoDel'd FIFO plus its DRR deficit."""
+    """One sub-queue: a CoDel'd FIFO plus its DRR deficit.
+
+    FQ-CoDel and CAKE schedule these; the parent forwards the sub-queue's
+    control-law drops to its owner through ``on_drop``.
+    """
 
     __slots__ = ("codel", "deficit_bytes", "active")
 
-    def __init__(self, capacity_packets: int, target_s: float, interval_s: float) -> None:
+    def __init__(
+        self,
+        capacity_packets: int,
+        target_s: float,
+        interval_s: float,
+        on_drop: Callable[[Packet], None],
+    ) -> None:
         self.codel = CoDelQueue(
             capacity_packets=capacity_packets, target_s=target_s, interval_s=interval_s
         )
+        self.codel.on_drop = on_drop
         self.deficit_bytes = 0
         self.active = False
+
+    def dequeue(self, now_s: float) -> tuple[Packet | None, int, int]:
+        """The sub-queue's next packet, and the packets and bytes its
+        control law dropped on the way; the parent takes both off its books."""
+        stats = self.codel.stats
+        drops = stats.aqm_drops
+        dropped_bytes = stats.aqm_dropped_bytes
+        packet = self.codel.dequeue(now_s)
+        return packet, stats.aqm_drops - drops, stats.aqm_dropped_bytes - dropped_bytes
 
 
 class FqCodelQueue(Qdisc):
@@ -65,12 +86,11 @@ class FqCodelQueue(Qdisc):
         flows_count: int = 1024,
         quantum_bytes: int = 1514,
     ) -> None:
+        super().__init__(capacity_packets)
         if flows_count < 1:
             raise ValueError(f"flows_count must be >= 1, got {flows_count}")
         if quantum_bytes < 1:
             raise ValueError(f"quantum_bytes must be >= 1, got {quantum_bytes}")
-        super().__init__()
-        self.capacity_packets = capacity_packets
         self.flows_count = flows_count
         self.quantum_bytes = quantum_bytes
         self._flows: dict[int, _Flow] = {}
@@ -87,8 +107,9 @@ class FqCodelQueue(Qdisc):
         if flow is None:
             # Per-flow cap: the shared packet budget, so one flow alone
             # behaves exactly like a plain CoDel queue of the same size.
-            flow = _Flow(self.capacity_packets, self._target_s, self._interval_s)
-            flow.codel.on_drop = self._forward_drop
+            flow = _Flow(
+                self.capacity_packets, self._target_s, self._interval_s, self._forward_drop
+            )
             self._flows[bucket] = flow
         return bucket, flow
 
@@ -122,15 +143,12 @@ class FqCodelQueue(Qdisc):
                 queue.popleft()
                 self._old_flows.append(bucket)
                 continue
-            before = flow.codel.occupancy
-            before_aqm_bytes = flow.codel.stats.aqm_dropped_bytes
-            packet = flow.codel.dequeue(now_s)
-            # Surface the sub-queue's control-law drops at this level.
-            dropped = before - flow.codel.occupancy - (1 if packet is not None else 0)
+            packet, dropped, dropped_bytes = flow.dequeue(now_s)
             if dropped:
-                self._account_aqm_drops(
-                    flow, dropped, flow.codel.stats.aqm_dropped_bytes - before_aqm_bytes
-                )
+                self._pkts -= dropped
+                self._bytes -= dropped_bytes
+                self.stats.aqm_drops += dropped
+                self.stats.aqm_dropped_bytes += dropped_bytes
             if packet is None:
                 # Queue drained: a new flow that empties within its first
                 # quantum stays "sparse" — it re-enters via new_flows on
@@ -140,21 +158,10 @@ class FqCodelQueue(Qdisc):
                 continue
             flow.deficit_bytes -= packet.size_bytes
             self._pkts -= 1
-            if not dropped:
-                # With drops the recompute below already excluded this
-                # packet (the sub-queue popped it first); subtracting it
-                # again here would drift the byte count negative.
-                self._bytes -= packet.size_bytes
+            self._bytes -= packet.size_bytes
             self.stats.note_sojourn(flow.codel.stats.last_sojourn_s)
             return packet
         return None
-
-    def _account_aqm_drops(self, flow: _Flow, dropped: int, dropped_bytes: int) -> None:
-        self._pkts -= dropped
-        # Sub-queue byte occupancy is authoritative; recompute the total.
-        self._bytes = sum(f.codel.occupancy_bytes for f in self._flows.values())
-        self.stats.aqm_drops += dropped
-        self.stats.aqm_dropped_bytes += dropped_bytes
 
     def _recount(self) -> tuple[int, int]:
         pkts = 0

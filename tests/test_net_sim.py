@@ -7,7 +7,6 @@ from repro import instruments
 from repro.core import LTE_PROFILE, NR_PROFILE
 from repro.net import (
     CrossTraffic,
-    DropTailQueue,
     Link,
     Packet,
     PathConfig,
@@ -15,6 +14,7 @@ from repro.net import (
     build_cellular_path,
 )
 from repro.net.link import DelayProcess
+from repro.qdisc import CakeQueue, DropTailQueue
 
 
 class TestSimulator:
@@ -268,20 +268,24 @@ class TestDropTailQueue:
     def test_fifo(self):
         q = DropTailQueue(10)
         p1 = Packet(1, "data", 100)
-        p2 = Packet(1, "data", 100)
-        q.push(p1)
-        q.push(p2)
-        assert q.pop() is p1
-        assert q.pop() is p2
-        assert q.pop() is None
+        p2 = Packet(1, "data", 300)
+        q.enqueue(p1, 0.0)
+        q.enqueue(p2, 0.0)
+        assert (q.occupancy, q.occupancy_bytes) == (2, 400)
+        assert q.dequeue(0.1) is p1
+        assert q.dequeue(0.2) is p2
+        assert q.dequeue(0.3) is None
+        assert (q.occupancy, q.occupancy_bytes) == (0, 0)
+        assert q.next_ready_s(0.3) is None  # work-conserving: never withholds
 
     def test_overflow_drops(self):
         q = DropTailQueue(2)
-        assert q.push(Packet(1, "data", 100))
-        assert q.push(Packet(1, "data", 100))
-        assert not q.push(Packet(1, "data", 100))
-        assert q.drops == 1
-        assert len(q) == 2
+        assert q.enqueue(Packet(1, "data", 100), 0.0)
+        assert q.enqueue(Packet(1, "data", 100), 0.0)
+        assert not q.enqueue(Packet(1, "data", 100), 0.0)
+        assert (q.stats.drops, q.drops, q.stats.aqm_drops) == (1, 1, 0)
+        assert (q.stats.enqueued, q.stats.enqueued_bytes) == (2, 200)
+        assert q.occupancy == 2
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -344,6 +348,46 @@ class TestLink:
         assert link.queue.occupancy > 2  # more than the construction-time capacity
         totals = auditor.checkpoint("resized")
         assert totals["audit.link.hop.occupancy_bounds_pkts"] == 0
+        assert auditor.violation_count == 0
+
+    def test_idle_with_bytes_on_the_book_is_one_violation(self):
+        from repro.audit import Auditor
+
+        class ForgetfulDropTail(DropTailQueue):
+            def dequeue(self, now_s):
+                # Pops the packet but leaves its bytes on the book.
+                return self._queue.popleft() if self._queue else None
+
+        auditor = Auditor()
+        with instruments.using(auditor=auditor):
+            sim = Simulator()
+            link = Link(sim, rate_bps=8e5, delay_s=0.0, qdisc=ForgetfulDropTail(4), name="hop")
+        link.connect(lambda p: None)
+        link.send(Packet(1, "data", 100))
+        sim.run()
+        violations = auditor.violations()
+        assert [v.name for v in violations] == ["audit.link.hop.idle_occupancy_pkts"]
+        assert dict(violations[0].args)["occupancy_bytes"] == 100
+
+    def test_shaper_holding_packets_back_is_not_an_idle_leak(self):
+        from repro.audit import Auditor
+
+        auditor = Auditor()
+        with instruments.using(auditor=auditor):
+            sim = Simulator()
+            # 125 B take 1 ms on the wire but 10 ms at the shaped rate.
+            cake = CakeQueue(shaper_rate_bps=1e5)
+            link = Link(sim, rate_bps=1e6, delay_s=0.0, qdisc=cake, name="hop")
+        delivered = []
+        link.connect(delivered.append)
+        for _ in range(3):
+            link.send(Packet(1, "data", 125))
+        sim.run(until=0.005)
+        assert (len(delivered), cake.occupancy) == (1, 2)  # idle, holding two
+        sim.run()
+        assert len(delivered) == 3
+        totals = auditor.checkpoint("drained")
+        assert all(residual == 0 for residual in totals.values())
         assert auditor.violation_count == 0
 
     def test_unconnected_link_raises(self):

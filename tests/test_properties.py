@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from repro import instruments
 from repro.audit import Auditor
 from repro.core import LTE_PROFILE, NR_PROFILE
-from repro.net import DropTailQueue, Link, Packet, PathConfig, Simulator, build_cellular_path
+from repro.net import Link, Packet, PathConfig, Simulator, build_cellular_path
 from repro.net.link import DelayProcess
 from repro.net.packet import DATA
+from repro.qdisc import QDISC_NAMES, DropTailQueue, RemedySection, make_qdisc
 from repro.radio.linkadapt import spectral_efficiency_from_sinr
 from repro.radio.propagation import uma_los_path_loss_db, uma_nlos_path_loss_db
 from repro.transport.base import TcpConnection, TcpReceiver
@@ -204,15 +205,23 @@ class TestLinkProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_packet_conservation(self, num_packets, capacity):
-        """sent == delivered + dropped + queued, always."""
-        sim = Simulator()
-        link = Link(sim, rate_bps=8e5, delay_s=0.001, queue_capacity_packets=capacity)
-        delivered = []
-        link.connect(delivered.append)
-        for i in range(num_packets):
-            link.send(Packet(1, "data", 100, seq=i))
-        sim.run()
-        assert len(delivered) + link.queue.drops + link.queue.occupancy == num_packets
+        """sent == delivered + dropped + queued, and every ledger balances,
+        for every discipline a link can hold."""
+        for name in QDISC_NAMES:
+            auditor = Auditor()
+            with instruments.using(auditor=auditor):
+                sim = Simulator()
+                qdisc = make_qdisc(RemedySection(qdisc=name), capacity, 8e5)
+                link = Link(sim, rate_bps=8e5, delay_s=0.001, qdisc=qdisc)
+            delivered = []
+            link.connect(delivered.append)
+            for i in range(num_packets):
+                link.send(Packet(1, "data", 100, seq=i))
+            sim.run()
+            assert len(delivered) + link.queue.drops + link.queue.occupancy == num_packets
+            totals = auditor.checkpoint("drained")
+            assert any(ledger.startswith("audit.link.") for ledger in totals)
+            assert all(residual == 0 for residual in totals.values()), (name, totals)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -232,8 +241,8 @@ class TestLinkProperties:
     def test_droptail_never_exceeds_capacity(self, capacity):
         q = DropTailQueue(capacity)
         for i in range(capacity * 3):
-            q.push(Packet(1, "data", 100, seq=i))
-        assert len(q) == capacity
+            q.enqueue(Packet(1, "data", 100, seq=i), 0.0)
+        assert q.occupancy == capacity
         assert q.drops == capacity * 2
 
 

@@ -9,9 +9,11 @@ import pytest
 
 from repro.net import Link, Packet, Simulator
 from repro.qdisc import (
+    QDISC_NAMES,
     AutorateController,
     CakeQueue,
     CoDelQueue,
+    DropTailQueue,
     FqCodelQueue,
     QdiscStats,
     RemedySection,
@@ -20,10 +22,27 @@ from repro.qdisc import (
     make_qdisc,
 )
 
+#: Each discipline's constructor, keyed by its scenario name.
+BUILDERS = {
+    "droptail": DropTailQueue,
+    "codel": CoDelQueue,
+    "fq-codel": FqCodelQueue,
+    "cake": lambda capacity_packets: CakeQueue(
+        shaper_rate_bps=1e9, capacity_packets=capacity_packets
+    ),
+}
+
 
 def pkt(size_bytes=1448, flow_id=1, host_id=None):
     meta = {} if host_id is None else {"host_id": host_id}
     return Packet(flow_id, "data", size_bytes, meta=meta)
+
+
+@pytest.mark.parametrize("name", QDISC_NAMES)
+def test_every_discipline_rejects_an_empty_buffer(name):
+    # A zero-capacity buffer would construct and silently drop every packet.
+    with pytest.raises(ValueError, match="capacity"):
+        BUILDERS[name](capacity_packets=0)
 
 
 class TestQdiscStats:
@@ -206,13 +225,19 @@ class TestCake:
             CakeQueue(shaper_rate_bps=0.0)
         with pytest.raises(ValueError):
             CakeQueue(shaper_rate_bps=1e6, hosts_count=0)
+        # A quantum below one byte would rotate the DRR rings forever.
+        for quantum_bytes in (0, -1514):
+            with pytest.raises(ValueError, match="quantum"):
+                CakeQueue(shaper_rate_bps=1e9, quantum_bytes=quantum_bytes)
 
 
 class TestMakeQdisc:
-    def test_droptail_returns_none(self):
-        # None (not a DropTail-flavoured qdisc): the default path must
-        # keep the seed's exact event schedule.
-        assert make_qdisc(RemedySection(), 25, 1e9) is None
+    def test_droptail_keeps_the_deployed_depth(self):
+        # Drop-tail is the measured deployment, not a remedy: the AQM
+        # buffer ratio does not deepen it.
+        q = make_qdisc(RemedySection(aqm_buffer_ratio=8.0), 25, 1e9)
+        assert isinstance(q, DropTailQueue)
+        assert q.capacity_packets == 25
 
     @pytest.mark.parametrize(
         "name,cls",
@@ -347,7 +372,7 @@ class TestLinkPauseResume:
         sim.schedule(0.050, link.resume)
         sim.run()
         assert len(delivered) == 4
-        assert link.qdisc.occupancy == 0
+        assert link.queue.occupancy == 0
 
     def test_shaper_wake_respects_pause(self):
         sim = Simulator()

@@ -353,6 +353,30 @@ class TestInstrumentationIntegration:
         assert series[0] == (0.0, series[0][1])
         assert series[1][1] == -1.0  # out-of-range SINR -> no grant
 
+    def test_traced_transfer_records_link_depths_without_perturbing_it(self):
+        from repro.experiments.common import path_config
+        from repro.scenario import resolve_scenario
+        from repro.transport.iperf import run_tcp
+
+        config = path_config(resolve_scenario(None))
+        baseline_bps = config.access_rate_bps() * config.scale
+
+        def transfer():
+            return run_tcp(config, "cubic", duration_s=0.2, seed=7, baseline_bps=baseline_bps)
+
+        plain = transfer()
+        tracer = Tracer()
+        with instruments.using(tracer=tracer):
+            traced = transfer()
+        assert traced == plain
+        for hop in ("wired-bottleneck", "core", "radio-access", "ack-radio-access"):
+            depths = tracer.counter_series(f"link.{hop}.depth_pkts")
+            sizes = tracer.counter_series(f"link.{hop}.depth_bytes")
+            # One sample of each per accepted packet, taken after it joined the queue.
+            assert depths and len(depths) == len(sizes)
+            for (_, pkts), (_, size) in zip(depths, sizes):
+                assert pkts >= 1 and size >= 40 * pkts
+
     def test_trace_is_deterministic_for_fixed_seed(self):
         first = Tracer()
         with instruments.using(tracer=first):

@@ -1,0 +1,115 @@
+"""Byte-identity of short packet-level transfers.
+
+The golden file pins short transfers through every queue discipline a
+``Link`` can hold: five congestion controllers over the deployed
+drop-tail path, cubic over each AQM remedy (and CAKE on both the wired
+and the radio hop), one split-connection (PEP) run and one UDP run with
+its lost sequence numbers.  Each entry also keeps the audit ledgers its
+run registered, with their run-end residuals, so a renamed, missing or
+extra ledger fails here as surely as a changed throughput.  RTT and
+cwnd traces are pinned by count and SHA-256 of their JSON rendering.
+
+Regenerate (only for an intended output change) with::
+
+    PYTHONPATH=src python -m tests.test_transfers_golden
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections.abc import Callable
+from pathlib import Path
+from typing import Any
+
+from repro import instruments
+from repro.audit.core import Auditor
+from repro.cli import _to_jsonable
+from repro.experiments.common import path_config
+from repro.experiments.remedy_comparison import REMEDY_VARIANTS
+from repro.qdisc import RemedySection
+from repro.scenario import resolve_scenario
+from repro.transport.iperf import run_tcp, run_udp
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "transfers_seed7.json"
+
+SEED = 7
+DURATION_S = 0.3
+#: At 0.3 s every AQM remedy still gives the same transfer; by 1 s CAKE's
+#: shaper and the autorate controller have each changed the outcome.
+AQM_DURATION_S = 1.0
+DROPTAIL_CCAS = ("reno", "cubic", "vegas", "veno", "bbr")
+AQM_REMEDIES = {
+    **{name: REMEDY_VARIANTS[name] for name in ("codel", "fq-codel", "cake", "cake-autorate")},
+    "cake-both": RemedySection(qdisc="cake", apply_to="both"),
+}
+
+
+def _transfers() -> dict[str, Callable[[], Any]]:
+    """Name -> zero-argument transfer, in run order."""
+    paper = resolve_scenario(None)
+    droptail = path_config(paper)
+    baseline_bps = droptail.access_rate_bps() * droptail.scale
+    runs: dict[str, Callable[[], Any]] = {}
+    for cca in DROPTAIL_CCAS:
+        runs[f"{cca}-droptail"] = lambda cca=cca: run_tcp(
+            droptail, cca, duration_s=DURATION_S, seed=SEED, baseline_bps=baseline_bps
+        )
+    for name, remedy in AQM_REMEDIES.items():
+        config = path_config(paper, remedy=remedy)
+        runs[f"cubic-{name}"] = lambda config=config: run_tcp(
+            config, "cubic", duration_s=AQM_DURATION_S, seed=SEED, baseline_bps=baseline_bps
+        )
+    pep = path_config(paper, remedy=REMEDY_VARIANTS["pep"])
+    runs["cubic-pep"] = lambda: run_tcp(
+        pep, "cubic", duration_s=DURATION_S, seed=SEED, baseline_bps=baseline_bps
+    )
+    # Offered above the radio capacity, so the drop-tail queues overflow.
+    runs["udp-droptail"] = lambda: run_udp(
+        droptail, 1.1 * baseline_bps, duration_s=DURATION_S, seed=SEED
+    )
+    return runs
+
+
+def _pinned(result: Any) -> dict[str, Any]:
+    data = _to_jsonable(result)
+    for key in ("cwnd_trace", "rtt_samples"):
+        if key in data:
+            rendered = json.dumps(data[key]).encode()
+            data[key] = {"count": len(data[key]), "sha256": hashlib.sha256(rendered).hexdigest()}
+    return data
+
+
+def _audited(fn: Callable[[], Any]) -> dict[str, Any]:
+    auditor = Auditor()
+    with instruments.using(auditor=auditor):
+        result = fn()
+        auditor.checkpoint("run-end")
+    return {"ledgers": auditor.ledger_totals(), "result": _pinned(result)}
+
+
+def render() -> str:
+    """Every transfer's result and ledgers as the golden file's bytes."""
+    payload = {name: _audited(fn) for name, fn in _transfers().items()}
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+class TestTransfersGolden:
+    def test_transfers_match_golden_file(self):
+        assert render().encode() == GOLDEN.read_bytes()
+
+    def test_golden_file_covers_every_ledger_kind(self):
+        golden = json.loads(GOLDEN.read_text())
+        droptail = set(golden["cubic-droptail"]["ledgers"])
+        codel = set(golden["cubic-codel"]["ledgers"])
+        # A FIFO has no recount or sojourn ledgers; an AQM discipline does.
+        assert "audit.link.wired_bottleneck.queue_residual_pkts" in droptail
+        assert "audit.link.wired_bottleneck.sojourn_bounds_s" not in droptail
+        assert "audit.link.wired_bottleneck.sojourn_bounds_s" in codel
+        assert golden["udp-droptail"]["result"]["lost_seqs"]
+        for entry in golden.values():
+            assert all(residual == 0 for residual in entry["ledgers"].values())
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(render())
