@@ -215,6 +215,19 @@ class HandoffCampaign:
         )
 
 
+def _report_orders(pcis: Sequence[int]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Per serving column: the columns one report measures, and the neighbours.
+
+    A report measures the serving cell first, then every other cell in
+    PCI (column) order; the second item names those neighbours.
+    """
+    orders = []
+    for serving in range(len(pcis)):
+        others = [j for j in range(len(pcis)) if j != serving]
+        orders.append((np.array([serving, *others]), tuple(pcis[j] for j in others)))
+    return orders
+
+
 class HandoffEngine:
     """Runs the NSA dual-connectivity hand-off logic over a trajectory.
 
@@ -257,12 +270,6 @@ class HandoffEngine:
         self._rng = rng
         self._tracer = instruments.current().tracer
 
-    def _measured(self, rsrq_db: float) -> float:
-        """Apply report-level measurement noise."""
-        if self.measurement_noise_db <= 0.0:
-            return rsrq_db
-        return rsrq_db + float(self._rng.normal(0.0, self.measurement_noise_db))
-
     def run(self, trajectory: Iterable[TrajectoryPoint]) -> HandoffCampaign:
         """Walk ``trajectory``, producing hand-off events and traces."""
         campaign = HandoffCampaign()
@@ -297,6 +304,17 @@ class HandoffEngine:
         nr_pcis, lte_pcis = self.nr.pcis, self.lte.pcis
         nr_col = {pci: j for j, pci in enumerate(nr_pcis)}
         lte_col = {pci: j for j, pci in enumerate(lte_pcis)}
+        nr_reports = _report_orders(nr_pcis)
+        lte_reports = _report_orders(lte_pcis)
+        sigma = self.measurement_noise_db
+        normal = self._rng.normal
+
+        def measured(rsrqs: np.ndarray) -> list[float]:
+            # Report-level noise, one draw per value in report order.  One
+            # size-k call returns the values of k scalar calls.
+            if sigma <= 0.0:
+                return rsrqs.tolist()
+            return (rsrqs + normal(0.0, sigma, size=len(rsrqs))).tolist()
 
         for i, sample in enumerate(ticks):
             t = sample.time_s
@@ -315,16 +333,11 @@ class HandoffEngine:
                 attached = True
 
             on_nr = nr_pci is not None
-            serving_rsrps = nr_rsrps if on_nr else lte_rsrps
             serving_rsrqs = nr_rsrqs if on_nr else lte_rsrqs
             serving_col = nr_col if on_nr else lte_col
             serving_pci = nr_pci if on_nr else lte_pci
-            serving_rsrq = self._measured(serving_rsrqs[serving_col[serving_pci]])
-            neighbor_rsrqs = {
-                pci: self._measured(serving_rsrqs[serving_col[pci]])
-                for pci in serving_rsrps
-                if pci != serving_pci
-            }
+            serving_row = (nr_rsrq_matrix if on_nr else lte_rsrq_matrix)[i]
+            order, neighbors = (nr_reports if on_nr else lte_reports)[serving_col[serving_pci]]
             # Inter-RAT measurement: the LTE anchor while riding NR, or the
             # best NR cell while camped on LTE (feeds B1/B2 events).
             if on_nr:
@@ -332,6 +345,10 @@ class HandoffEngine:
             else:
                 best_nr_pci = max(nr_rsrps, key=lambda p: nr_rsrps[p])
                 inter_rat = nr_rsrqs[nr_col[best_nr_pci]]
+            # One report: the serving cell, its neighbours, the inter-RAT cell.
+            report = measured(np.append(serving_row[order], inter_rat))
+            serving_rsrq = report[0]
+            neighbor_rsrqs = dict(zip(neighbors, report[1:-1]))
             campaign.trace.append(
                 TraceSample(
                     time_s=t,
@@ -339,7 +356,7 @@ class HandoffEngine:
                     serving_pci=serving_pci,
                     serving_rsrq_db=serving_rsrq,
                     neighbor_rsrqs_db=neighbor_rsrqs,
-                    inter_rat_rsrq_db=self._measured(inter_rat),
+                    inter_rat_rsrq_db=report[-1],
                 )
             )
 
@@ -421,31 +438,30 @@ class HandoffEngine:
             # The 4G anchor keeps its own A3 mobility even while the data
             # plane rides NR (NSA dual connectivity).
             if on_nr:
-                anchor_rsrq = self._measured(lte_rsrqs[lte_col[lte_pci]])
-                anchor_neighbors = {
-                    pci: self._measured(lte_rsrqs[lte_col[pci]])
-                    for pci in lte_rsrps
-                    if pci != lte_pci
-                }
-                best_anchor = max(anchor_neighbors, key=lambda p: anchor_neighbors[p])
-                if anchor_neighbors[best_anchor] - anchor_rsrq > self.config.hysteresis_db:
-                    if a3_since["lte"] is None:
-                        a3_since["lte"] = t
-                    elif t - a3_since["lte"] >= self.config.time_to_trigger_s:
-                        blocked_until = self._execute(
-                            campaign,
-                            t,
-                            HandoffKind.LTE_TO_LTE,
-                            source_pci=lte_pci,
-                            target_pci=best_anchor,
-                            rsrq_before=anchor_rsrq,
-                            rsrq_after=lte_rsrqs[lte_col[best_anchor]],
-                            triggered_at_s=a3_since["lte"],
-                        )
-                        lte_pci = best_anchor
+                order, neighbors = lte_reports[lte_col[lte_pci]]
+                anchor_report = measured(lte_rsrq_matrix[i][order])
+                anchor_rsrq = anchor_report[0]
+                anchor_neighbors = dict(zip(neighbors, anchor_report[1:]))
+                if anchor_neighbors:
+                    best_anchor = max(anchor_neighbors, key=lambda p: anchor_neighbors[p])
+                    if anchor_neighbors[best_anchor] - anchor_rsrq > self.config.hysteresis_db:
+                        if a3_since["lte"] is None:
+                            a3_since["lte"] = t
+                        elif t - a3_since["lte"] >= self.config.time_to_trigger_s:
+                            blocked_until = self._execute(
+                                campaign,
+                                t,
+                                HandoffKind.LTE_TO_LTE,
+                                source_pci=lte_pci,
+                                target_pci=best_anchor,
+                                rsrq_before=anchor_rsrq,
+                                rsrq_after=lte_rsrqs[lte_col[best_anchor]],
+                                triggered_at_s=a3_since["lte"],
+                            )
+                            lte_pci = best_anchor
+                            a3_since["lte"] = None
+                    else:
                         a3_since["lte"] = None
-                else:
-                    a3_since["lte"] = None
 
         return campaign
 

@@ -6,8 +6,11 @@ scalar API answers it one Python object at a time, which profiling shows
 is dominated by per-pair Liang-Barsky wall tests and ``math`` calls.
 This module evaluates the full (N points × C cells) matrix in numpy:
 UMa LoS/NLoS path loss, grid-quantized shadowing, clutter loss, wall
-crossings (via the vectorized segment-rectangle intersection in
-:mod:`repro.geometry.buildings`) and the RSRQ/SINR combiner.
+crossings (via the candidate-pair segment-rectangle kernel of
+:meth:`repro.geometry.buildings.BuildingMap.wall_crossings_counts`) and
+the RSRQ/SINR combiner.  Terms that depend on a transmitter only through
+its position (distance, wall crossings, shadowing, bearing) are computed
+once per distinct mast and shared by its sectors.
 
 Bit-identity with the scalar path is a hard requirement — the default
 scenario's results are golden-file pinned — so every transcendental goes
@@ -59,6 +62,29 @@ def _unique_shadow_cells(
     return gx[first], gy[first], inverse
 
 
+def _distinct_positions(
+    tx_points: Sequence[Point],
+) -> tuple[list[Point], np.ndarray]:
+    """Each distinct transmitter position once, plus the column-to-site map.
+
+    Co-sited sectors share a mast, so every term that depends only on the
+    transmitter's position is evaluated once per site and fanned out to
+    the sector columns with ``[:, col_to_site]``.  Each lane runs the
+    exact IEEE operations the full (N, C) evaluation would, so the
+    fan-out is bit-identical.
+    """
+    position_index: dict[tuple[float, float], int] = {}
+    sites: list[Point] = []
+    col_to_site = np.empty(len(tx_points), dtype=np.int64)
+    for col, tx in enumerate(tx_points):
+        key = (tx.x, tx.y)
+        if key not in position_index:
+            position_index[key] = len(sites)
+            sites.append(tx)
+        col_to_site[col] = position_index[key]
+    return sites, col_to_site
+
+
 def path_loss_matrix_db(
     environment: Environment,
     tx_points: Sequence[Point],
@@ -72,56 +98,27 @@ def path_loss_matrix_db(
     calibrated UMa LoS/NLoS selection by wall crossings (minus the
     receiver's own building, which is charged as penetration instead),
     clutter loss, one wall of penetration for indoor receivers, and the
-    deterministic grid-quantized shadowing field.
+    deterministic grid-quantized shadowing field.  Path loss depends on a
+    transmitter only through its position, so the whole matrix is built
+    per distinct mast and fanned out to the sector columns at the end.
     """
     buildings = environment.buildings
-    tx_x, tx_y = points_to_arrays(tx_points)
     x = vm.as_float_array(x)
     y = vm.as_float_array(y)
-    n, c = len(x), len(tx_x)
+    sites, col_to_site = _distinct_positions(tx_points)
+    site_x, site_y = points_to_arrays(sites)
+    site_x = site_x[np.newaxis, :]
+    site_y = site_y[np.newaxis, :]
+    rx_x = x[:, np.newaxis]
+    rx_y = y[:, np.newaxis]
 
-    # Co-sited sectors share a mast, so every geometry term — the wall
-    # crossings that dominate dense surveys especially — is evaluated
-    # once per distinct transmitter position and fanned out to the sector
-    # columns.  Each lane runs the exact IEEE ops the full (N, C)
-    # evaluation would, so the fan-out is bit-identical.
-    position_index: dict[tuple[float, float], int] = {}
-    col_to_site = np.empty(c, dtype=np.int64)
-    for col, tx in enumerate(tx_points):
-        key = (tx.x, tx.y)
-        if key not in position_index:
-            position_index[key] = len(position_index)
-        col_to_site[col] = position_index[key]
-    site_x = np.array([key[0] for key in position_index], dtype=np.float64)
-    site_y = np.array([key[1] for key in position_index], dtype=np.float64)
-
-    site_row_x = site_x[np.newaxis, :]
-    site_row_y = site_y[np.newaxis, :]
-    rx_col_x = x[:, np.newaxis]
-    rx_col_y = y[:, np.newaxis]
-
-    site_distance = vm.hypot(site_row_x - rx_col_x, site_row_y - rx_col_y)
-    site_crossings = buildings.wall_crossings_counts(
-        site_row_x, site_row_y, rx_col_x, rx_col_y
-    )
-
-    # Indoor receivers: subtract the own building's crossings from the
-    # LOS test and charge one wall of penetration unless the transmitter
+    # Indoor receivers: leave the own building's walls out of the LOS
+    # test and charge one wall of penetration unless the transmitter
     # shares the building — exactly Environment.breakdown's accounting.
-    own_index = buildings.building_indices(x, y)
-    site_inside_own = np.zeros((n, len(site_x)), dtype=bool)
-    for i, building in enumerate(buildings):
-        rows = own_index == i
-        if not rows.any():
-            continue
-        site_crossings[rows] -= building.wall_crossings_counts(
-            site_row_x, site_row_y, x[rows][:, np.newaxis], y[rows][:, np.newaxis]
-        )
-        site_inside_own[rows] = building.contains_mask(site_x, site_y)
-
-    distance = site_distance[:, col_to_site]
-    crossings = site_crossings[:, col_to_site]
-    tx_inside_own = site_inside_own[:, col_to_site]
+    own_index = buildings.building_indices(x, y)[:, np.newaxis]
+    distance = vm.hypot(site_x - rx_x, site_y - rx_y)
+    crossings = buildings.wall_crossings_counts(site_x, site_y, rx_x, rx_y, skip=own_index)
+    tx_inside_own = buildings._contains_indexed(own_index, site_x, site_y)
 
     los = crossings == 0
     f_ghz = carrier_mhz / 1000.0
@@ -134,39 +131,45 @@ def path_loss_matrix_db(
     clutter_per_m = environment.clutter_coeff * (f_ghz**environment.clutter_exponent)
     base = base + clutter_per_m * np.maximum(distance, 0.0)
 
-    indoor_walls = (own_index >= 0)[:, np.newaxis] & ~tx_inside_own
+    indoor_walls = (own_index >= 0) & ~tx_inside_own
     per_wall = 4.5 + 1.0 * f_ghz**2
     penetration = per_wall * indoor_walls
 
     sigma = np.where(los, environment.los_sigma_db, environment.nlos_sigma_db)
     grid_x, grid_y, inverse = _unique_shadow_cells(x, y)
-    shadow = np.empty((n, c), dtype=np.float64)
-    # Co-sited sectors share every shadow key (same mast, same carrier),
-    # so draw once per distinct site and fan the column out.
-    site_columns: dict[tuple[int, int], list[int]] = {}
-    for col, tx in enumerate(tx_points):
-        site_columns.setdefault((round(tx.x), round(tx.y)), []).append(col)
-    for columns in site_columns.values():
+    shadow = np.empty(distance.shape, dtype=np.float64)
+    # Masts that round to the same metre share every shadow key (same
+    # carrier), so draw once per key and fan the column out.
+    key_sites: dict[tuple[int, int], list[int]] = {}
+    for index, site in enumerate(sites):
+        key_sites.setdefault((round(site.x), round(site.y)), []).append(index)
+    for indices in key_sites.values():
         unique_normals = environment.shadow_standard_normals(
-            tx_points[columns[0]], carrier_mhz, grid_x, grid_y
+            sites[indices[0]], carrier_mhz, grid_x, grid_y
         )
-        column = unique_normals[inverse]
-        for col in columns:
-            shadow[:, col] = column
+        shadow[:, indices] = unique_normals[inverse][:, np.newaxis]
 
-    return (base + penetration) + sigma * shadow
+    site_loss = (base + penetration) + sigma * shadow
+    return site_loss[:, col_to_site]
 
 
 def sector_gain_matrix(cells: Sequence, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Antenna gain (dBi) from every cell toward every point, (N, C)."""
+    """Antenna gain (dBi) from every cell toward every point, (N, C).
+
+    The bearing from a mast to each point is computed once per distinct
+    mast and shared by its sectors.
+    """
     x = vm.as_float_array(x)
     y = vm.as_float_array(y)
+    sites, col_to_site = _distinct_positions([cell.position for cell in cells])
+    bearings: dict[int, np.ndarray] = {}
     columns = []
-    for cell in cells:
+    for cell, site in zip(cells, col_to_site.tolist()):
         antenna = cell.antenna
         if isinstance(antenna, SectorAntenna):
-            bearing = vm.bearing_deg(x - cell.position.x, y - cell.position.y)
-            off = vm.angle_difference_deg(bearing, antenna.azimuth_deg)
+            if site not in bearings:
+                bearings[site] = vm.bearing_deg(x - sites[site].x, y - sites[site].y)
+            off = vm.angle_difference_deg(bearings[site], antenna.azimuth_deg)
             attenuation = np.minimum(
                 12.0 * vm.powf(off / antenna.beamwidth_deg, 2.0),
                 antenna.front_to_back_db,

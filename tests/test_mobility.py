@@ -203,6 +203,24 @@ class TestHandoffEngine:
     def test_horizontal_dominate(self, campaign):
         assert campaign.horizontal_count > campaign.vertical_count
 
+    def test_single_anchor_cell_while_riding_nr(self, campus, networks):
+        """Regression: the anchor A3 check ran ``max`` over no neighbours."""
+        nr, lte = networks
+        anchor = RadioNetwork(
+            lte.cells[:1],
+            lte.profile,
+            lte.environment,
+            interference_activity=lte.interference_activity,
+            interference_floor_dbm=lte.interference_floor_dbm,
+        )
+        rngf = RngFactory(42)
+        walker = RouteWalker(campus, rngf.stream("walk"), speed_kmh=6.0)
+        engine = HandoffEngine(nr, anchor, rngf.stream("ho"), measurement_noise_db=2.5)
+        campaign = engine.run(walker.trajectory(30.0, dt_s=0.108))
+        assert any(sample.rat == "5G" for sample in campaign.trace)
+        assert len(campaign.trace) == 278
+        assert not campaign.events_of_kind(HandoffKind.LTE_TO_LTE)
+
 
 class TestGainFraction:
     def test_empty_rejected(self):

@@ -7,17 +7,23 @@ core replicates the scalar arithmetic operation-for-operation (see
 ``repro.core.vecmath``), so any drift, however small, is a bug.
 
 Also hosts the hot-path regression test: one survey point must build
-exactly one path-loss map (the pre-fix ``_survey_at`` built three).
+exactly one path-loss map (the pre-fix ``_survey_at`` built three), and
+the adversarial test of the candidate-pair wall-crossing kernel against
+the scalar clip on the 227-building urban-canyon district.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.core import RngFactory
 from repro.experiments.common import testbed as build_testbed
+from repro.geometry.buildings import Building, BuildingMap
 from repro.geometry.points import Point
-from repro.radio import batch, linkadapt
+from repro.radio import RadioNetwork, batch, linkadapt
 from repro.radio.coverage import _survey_at, survey_at_locations
-from repro.radio.propagation import _MIN_DISTANCE_M, _SHADOW_GRID_M
+from repro.radio.propagation import _MIN_DISTANCE_M, _SHADOW_GRID_M, Environment
 
 SEED = 7
 
@@ -177,3 +183,187 @@ class TestSurveyHotPath:
         points = _random_points(bed.campus, 50, seed=5)
         survey_at_locations(bed.nr, points)
         assert calls == [50 * len(bed.nr.cells)]  # one matrix for the lot
+
+
+def _below(v):
+    return math.nextafter(v, -math.inf)
+
+
+def _above(v):
+    return math.nextafter(v, math.inf)
+
+
+def _adversarial_rays(buildings, width_m, height_m):
+    """(start, end) pairs at every numeric edge of the segment clip.
+
+    Returns ``(rays, short)``: ``short`` holds the rays that stop an ulp
+    short of a wall, which are also in ``rays``.
+    """
+    rng = np.random.default_rng(2024)
+
+    def anywhere():
+        x, y = rng.uniform(-50.0, width_m + 50.0), rng.uniform(-50.0, height_m + 50.0)
+        return Point(float(x), float(y))
+
+    rays = [(anywhere(), anywhere()) for _ in range(1500)]
+    short = []
+    for b in buildings.buildings[::3]:
+        mid_x, mid_y = (b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0
+        corners = [(b.x_min, b.y_min), (b.x_min, b.y_max), (b.x_max, b.y_min), (b.x_max, b.y_max)]
+        midpoints = [(mid_x, b.y_min), (mid_x, b.y_max), (b.x_min, mid_y), (b.x_max, mid_y)]
+        # One ulp either side of each wall, on the wall's midline.
+        ulps = [(f(b.x_min), mid_y) for f in (_below, _above)]
+        ulps += [(f(b.x_max), mid_y) for f in (_below, _above)]
+        ulps += [(mid_x, f(b.y_min)) for f in (_below, _above)]
+        ulps += [(mid_x, f(b.y_max)) for f in (_below, _above)]
+        for x, y in corners + midpoints + ulps:
+            rays.append((anywhere(), Point(x, y)))
+            rays.append((Point(x, y), anywhere()))
+        # Axis-parallel rays along walls, across and inside the footprint.
+        rays += [
+            (Point(b.x_min, b.y_min - 5.0), Point(b.x_min, b.y_max + 5.0)),
+            (Point(b.x_max, mid_y), Point(b.x_max, b.y_max + 40.0)),
+            (Point(b.x_min - 5.0, b.y_max), Point(b.x_max + 5.0, b.y_max)),
+            (Point(b.x_min - 30.0, b.y_min), Point(mid_x, b.y_min)),
+            (Point(b.x_min - 30.0, mid_y), Point(b.x_max + 30.0, mid_y)),
+        ]
+        # Zero-length segments: outside, on a corner, inside.
+        outside = anywhere()
+        rays += [(outside, outside), (Point(*corners[0]), Point(*corners[0]))]
+        rays.append((Point(mid_x, mid_y), Point(mid_x, mid_y)))
+        # Indoor receivers, and both ends inside one footprint.
+        rays.append((anywhere(), Point(mid_x, mid_y)))
+        rays.append((Point(mid_x, mid_y), Point(_above(b.x_min), _below(b.y_max))))
+        # Rays that stop an ulp short of a wall: the clip's rounded
+        # quotient usually still reaches the wall, so the scalar code
+        # counts them although the end lies outside the footprint.
+        for length in rng.uniform(1.0, 3000.0, 2).tolist():
+            short.append((Point(b.x_min - length, mid_y), Point(_below(b.x_min), mid_y)))
+            short.append((Point(mid_x, b.y_max + length), Point(mid_x, _above(b.y_max))))
+    return rays + short, short
+
+
+def _endpoint_arrays(rays):
+    ax = np.array([a.x for a, _ in rays])
+    ay = np.array([a.y for a, _ in rays])
+    bx = np.array([b.x for _, b in rays])
+    by = np.array([b.y for _, b in rays])
+    return ax, ay, bx, by
+
+
+class TestWallCrossingKernel:
+    """The candidate-pair kernel equals the scalar clip, lane for lane."""
+
+    @pytest.fixture(scope="class")
+    def district(self):
+        world = build_testbed(SEED, "urban-canyon").world
+        assert len(world.buildings) == 227
+        rays, short = _adversarial_rays(world.buildings, world.width_m, world.height_m)
+        expected = [world.buildings.wall_crossings(a, b) for a, b in rays]
+        return world.buildings, rays, short, expected
+
+    def test_counts_match_the_scalar_clip(self, district):
+        buildings, rays, _, expected = district
+        counts = buildings.wall_crossings_counts(*_endpoint_arrays(rays))
+        # Many kernel blocks, and every kind of lane occurs.
+        assert len(rays) > 10 * ((1 << 16) // len(buildings))
+        assert {0, 1, 2} <= set(expected) and max(expected) > 10
+        assert counts.tolist() == expected
+
+    def test_short_rays_the_clip_counts_are_kept(self, district):
+        buildings, _, short, _ = district
+        counted = [
+            (a, b) for a, b in short
+            if any(w.wall_crossings(a, b) == 2 and not w.contains(b) for w in buildings)
+        ]
+        assert len(counted) > 50
+        counts = buildings.wall_crossings_counts(*_endpoint_arrays(counted))
+        assert counts.tolist() == [buildings.wall_crossings(a, b) for a, b in counted]
+
+    def test_skip_leaves_out_the_receivers_own_building(self, district):
+        buildings, rays, _, expected = district
+        ax, ay, bx, by = _endpoint_arrays(rays)
+        own = buildings.building_indices(bx, by)
+        counts = buildings.wall_crossings_counts(ax, ay, bx, by, skip=own)
+        expected_skipped = [
+            total - (buildings.buildings[i].wall_crossings(a, b) if i >= 0 else 0)
+            for (a, b), i, total in zip(rays, own.tolist(), expected)
+        ]
+        assert (own >= 0).sum() > 100
+        assert expected_skipped != expected
+        assert counts.tolist() == expected_skipped
+
+    def test_broadcast_matrix_matches_lanes(self, district):
+        buildings = district[0]
+        rng = np.random.default_rng(5)
+        rx_x, rx_y = rng.uniform(0.0, 1500.0, (2, 40))
+        tx_x, tx_y = rng.uniform(0.0, 1500.0, (2, 7))
+        own = buildings.building_indices(rx_x, rx_y)[:, np.newaxis]
+        matrix = buildings.wall_crossings_counts(
+            tx_x[np.newaxis, :], tx_y[np.newaxis, :], rx_x[:, np.newaxis], rx_y[:, np.newaxis],
+            skip=own,
+        )
+        assert matrix.shape == (40, 7)
+        for i in range(40):
+            lanes = buildings.wall_crossings_counts(
+                tx_x, tx_y, np.full(7, rx_x[i]), np.full(7, rx_y[i]), skip=own[i]
+            )
+            assert matrix[i].tolist() == lanes.tolist()
+
+    def test_path_loss_with_masts_inside_buildings(self):
+        """Own-building walls leave the LOS test; a shared building saves
+        the penetration wall; overlapping footprints take the first match."""
+        environment = Environment(
+            BuildingMap([
+                Building(0.0, 0.0, 40.0, 30.0),
+                Building(30.0, 20.0, 70.0, 60.0),
+                Building(100.0, 0.0, 120.0, 80.0),
+            ]),
+            RngFactory(SEED),
+        )
+        masts = [Point(10.0, 10.0), Point(35.0, 25.0), Point(60.0, 50.0), Point(90.0, 40.0)]
+        receivers = [
+            Point(x, y)
+            for x in (5.0, 30.0, 35.0, 40.0, 50.0, 65.0, 85.0, 110.0, 130.0)
+            for y in (5.0, 20.0, 25.0, 45.0, 70.0)
+        ]
+        x, y = batch.points_to_arrays(receivers)
+        for carrier_mhz in (1840.0, 3500.0):
+            matrix = batch.path_loss_matrix_db(environment, masts, carrier_mhz, x, y)
+            for i, rx in enumerate(receivers):
+                for j, tx in enumerate(masts):
+                    assert matrix[i, j] == environment.path_loss_db(tx, rx, carrier_mhz), (tx, rx)
+
+    def test_path_loss_on_an_empty_map(self, bed):
+        """``Environment(None, ...)`` is an empty map: every query still runs."""
+        environment = Environment(None, RngFactory(0))
+        masts = [Point(0.0, 0.0), Point(250.0, 40.0), Point(250.0, 40.0)]
+        receivers = _random_points(bed.campus, 30, seed=9) + [Point(0.0, 0.0)]
+        x, y = batch.points_to_arrays(receivers)
+        matrix = batch.path_loss_matrix_db(environment, masts, 3500.0, x, y)
+        for i, rx in enumerate(receivers):
+            for j, tx in enumerate(masts):
+                assert matrix[i, j] == environment.path_loss_db(tx, rx, 3500.0), (tx, rx)
+        network = RadioNetwork(bed.nr.cells, bed.nr.profile, environment)
+        for location in receivers[:5]:
+            rsrps = network.rsrp_map_at(location)
+            assert list(rsrps.values()) == [
+                cell.rsrp_at(location, environment) for cell in network.cells
+            ]
+        assert network.best_cell_at(receivers[0])[0] in network.cells
+
+    def test_ray_an_ulp_short_of_a_lone_building(self):
+        wall = Building(100.0, 0.0, 120.0, 10.0)
+        a, b = Point(-1947.1888932322174, 5.0), Point(99.99999999999999, 5.0)
+        assert not wall.contains(b)
+        assert wall.wall_crossings(a, b) == 2
+        counts = BuildingMap([wall]).wall_crossings_counts(
+            np.array([a.x]), np.array([a.y]), np.array([b.x]), np.array([b.y])
+        )
+        assert counts.tolist() == [2]
+
+    def test_empty_map_and_no_lanes(self):
+        empty = np.zeros((0, 3))
+        assert BuildingMap(()).wall_crossings_counts(0.0, 0.0, 5.0, 5.0).tolist() == 0
+        wall = BuildingMap([Building(0.0, 0.0, 1.0, 1.0)])
+        assert wall.wall_crossings_counts(empty, empty, empty, empty).shape == (0, 3)
