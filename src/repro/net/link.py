@@ -25,7 +25,7 @@ import numpy as np
 from repro import instruments
 from repro.metrics.core import fold_metric_name
 from repro.net.packet import Packet
-from repro.net.sim import Simulator
+from repro.net.sim import Event, Key, Simulator
 from repro.qdisc.droptail import DropTailQueue
 
 if TYPE_CHECKING:
@@ -114,6 +114,22 @@ class DelayProcess:
 class Link:
     """One hop: queue discipline -> serializer -> propagation delay.
 
+    A transmission claims the serializer's event key (the end of the
+    packet's serialization) and pushes the packet's delivery at once, at
+    the float the serialization end would have scheduled it for.  The
+    serializer event itself is pushed only when bytes remain queued, so a
+    packet that finds the hop idle costs one event, not two.  Until then
+    the key stays claimed: an arrival, ``pause`` or shaper wake that comes
+    before the key pushes the event after all, and one that comes after
+    it first replays what the event would have done (a ``dequeue`` at the
+    key's time on the then-empty queue, which resets CoDel's drop state
+    and retires FQ-CoDel's and CAKE's empty flows).  A paused link holds
+    no claimed key, so ``resume`` finds none.
+    The delivery is pushed with :meth:`Simulator.push_held`, so a claim
+    of its instant before the serialization ends returns it to the
+    serializer event.  Every event that runs, runs in the order the
+    two-event hop gave it.
+
     Args:
         sim: Shared simulator.
         rate_bps: Serialization rate.
@@ -165,6 +181,10 @@ class Link:
         self._last_delivery_at = 0.0
         self._in_transit = 0
         self._in_transit_bytes = 0
+        # The packet on the wire: its serializer key while no event holds
+        # it, and its delivery (arrival, packet, provisional event).
+        self._claim: Key | None = None
+        self._delivery: tuple[float, Packet, Event | None] | None = None
         # Like Simulator: with no tracer installed this is the null
         # tracer and the depth counters compile down to one bool check.
         active = instruments.current()
@@ -210,6 +230,8 @@ class Link:
         """Offer a packet to this hop; drops silently on overflow."""
         if self.sink is None:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
+        if self._claim is not None:
+            self._settle()
         if not self.queue.enqueue(packet, self.sim.now):
             self.dropped_packets.append(packet.packet_id)
             return
@@ -229,6 +251,8 @@ class Link:
 
     def pause(self) -> None:
         """Stop serving the queue (hand-off outage); packets keep queueing."""
+        if self._claim is not None:
+            self._settle()  # so a paused link holds no claimed key
         self._paused = True
 
     def resume(self) -> None:
@@ -239,16 +263,10 @@ class Link:
         if not self._busy:
             self._transmit_next()
 
-    def current_rate_bps(self) -> float:
-        """Rate available to foreground traffic right now."""
-        rate = self.rate_bps
-        if self.cross_traffic is not None:
-            rate *= 1.0 - self.cross_traffic.load_at(self.sim.now)
-        return rate
-
     def _transmit_next(self) -> None:
         queue = self.queue
-        packet = queue.dequeue(self.sim.now)
+        sim = self.sim
+        packet = queue.dequeue(sim.now)
         if packet is None:
             self._busy = False
             # Links go idle about once per packet, so one byte-book read
@@ -260,28 +278,71 @@ class Link:
                 if self._auditor.enabled and not self._wake_pending:
                     self._audit_idle_probe()
             return
+        size = packet.size_bytes
         stats = queue.stats
         stats.dequeued += 1
-        stats.dequeued_bytes += packet.size_bytes
+        stats.dequeued_bytes += size
         self._in_transit += 1
-        self._in_transit_bytes += packet.size_bytes
+        self._in_transit_bytes += size
         self._busy = True
-        rate = max(self.current_rate_bps(), 1.0)
-        serialization = packet.size_bytes * 8 / rate
-        self.sim.schedule(serialization, self._serialized, packet)
-
-    def _serialized(self, packet: Packet) -> None:
+        # The rate left to foreground traffic; conditionals rather than
+        # max() calls, on the one per-packet path.
+        rate = self.rate_bps
+        if self.cross_traffic is not None:
+            rate *= 1.0 - self.cross_traffic.load_at(sim.now)
+        key = sim.claim(size * 8 / (rate if rate >= 1.0 else 1.0))
+        end = key[0]
         delay = self.delay_s
         if self.delay_process is not None:
-            delay += self.delay_process.extra_delay_s(self.sim.now)
+            delay += self.delay_process.extra_delay_s(end)
         # FIFO discipline: a falling delay process must not reorder.
-        arrival = max(self.sim.now + delay, self._last_delivery_at + 1e-9)
+        arrival = end + delay
+        fifo = self._last_delivery_at + 1e-9
+        if fifo > arrival:
+            arrival = fifo
         self._last_delivery_at = arrival
-        self.sim.schedule_at(arrival, self._deliver, packet)
+        # At the float schedule_at(arrival) gives at the serialization end.
+        event = sim.push_held(key, end + (arrival - end), self._on_tie, self._deliver, packet)
+        self._delivery = (arrival, packet, event)
+        if event is None or queue.occupancy_bytes:
+            sim.push(key, self._serialized)
+        else:
+            self._claim = key
+
+    def _serialized(self) -> None:
+        arrival, packet, event = self._delivery
+        if event is None:
+            self.sim.schedule_at(arrival, self._deliver, packet)
         if self._paused:
             self._busy = False
         else:
             self._transmit_next()
+
+    def _on_tie(self) -> None:
+        """Something claimed the delivery's instant before the serialization
+        ended: schedule the delivery from the serializer event instead."""
+        arrival, packet, _ = self._delivery
+        self._delivery = (arrival, packet, None)
+        if self._claim is not None:
+            self.sim.push(self._claim, self._serialized)
+            self._claim = None
+
+    def _settle(self) -> None:
+        """Bring the claimed serializer key up to date before a state change.
+
+        Not yet reached: push its event, which now has work to do (or a
+        pause to honour).  Already reached: the event found the queue empty
+        (an earlier arrival would have pushed it) and the link unpaused
+        (``pause`` settles first), so replay its empty dequeue at the key's
+        time.
+        """
+        key = self._claim
+        self._claim = None
+        if not self.sim.reached(key):
+            self.sim.push(key, self._serialized)
+            return
+        self._busy = False
+        self.queue.dequeue(key[0])
 
     def _schedule_wake(self) -> None:
         ready_s = self.queue.next_ready_s(self.sim.now)
@@ -292,6 +353,8 @@ class Link:
 
     def _wake(self) -> None:
         self._wake_pending = False
+        if self._claim is not None:
+            self._settle()
         if not self._busy and not self._paused:
             self._transmit_next()
 

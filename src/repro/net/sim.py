@@ -8,15 +8,45 @@ process objects.  ``seq`` is unique, so every sift compares a float and
 an int in C and never reaches the :class:`Event`, which carries only the
 callback and a cancellation flag.  Cancellation is lazy: a cancelled
 entry stays in the heap until it is popped, unless cancelled entries come
-to dominate the heap (every re-armed RTO timer of a TCP transfer leaves
-one behind) and it is rebuilt without them.  Pop order depends only on
-the ``(time, seq)`` keys, so the rebuild never changes the schedule.
+to dominate the heap and it is rebuilt without them.  Pop order depends
+only on the ``(time, seq)`` keys, so the rebuild never changes the
+schedule.
+
+**Claimed keys.**  An event's ``(time, seq)`` key fixes where it runs,
+and ``seq`` is handed out in scheduling order, so among events at one
+float instant the key also says which was scheduled first.
+:meth:`Simulator.claim` takes the key ``schedule`` would give an event
+now without pushing anything; the owner may :meth:`Simulator.push` the
+event under it later, before the loop gets there, or never.
+:meth:`Simulator.reached` tells whether a key lies at or before the event
+being dispatched.  It compares ``(time, seq)``, not time alone: a claimed
+key and the event being dispatched often share the float instant, and
+only ``seq`` says which runs first.  Claims use up ``seq`` exactly where
+``schedule`` would have, so a deferred event sorts among the others as it
+did when everything was scheduled eagerly, and the events that do run,
+run in the same order: deferring changes how many entries pass through
+the heap, never the dispatch order.  ``Link`` claims the serializer key
+of each packet and pushes it only when a backlog needs it; ``TcpSender``
+claims a key per RTO re-arm and keeps one live timer entry.
+
+**Held instants.**  A deferred event may itself schedule something first
+thing when it runs: a serialization end schedules the packet's delivery.
+:meth:`Simulator.push_held` pushes that follow-up ahead of time, under a
+``seq`` taken now rather than at the anchor.  The two keys sort alike
+against every event at the follow-up's instant except one claimed in
+between, after the provisional ``seq`` but before the anchor is reached:
+it belongs before the real key and after the provisional one.  The
+simulator watches each held instant until its anchor is reached; the
+first such claim cancels the follow-up and hands it back to its owner,
+which pushes the anchor event after all and schedules the follow-up from
+it, as the eager schedule did.
 
 Each simulator keeps lightweight event counters (scheduled / executed /
-cancelled), and the module aggregates the same counters across every
-instance in the process so campaign instrumentation
-(:mod:`repro.runner.instrument`) can report how much simulation work an
-experiment performed without wrapping individual simulators.
+cancelled, where "scheduled" counts heap pushes), and the module
+aggregates the same counters across every instance in the process so
+campaign instrumentation (:mod:`repro.runner.instrument`) can report how
+much simulation work an experiment performed without wrapping individual
+simulators.
 """
 
 from __future__ import annotations
@@ -27,7 +57,10 @@ from typing import Any, NamedTuple
 
 from repro import instruments
 
-__all__ = ["Event", "SimCounters", "Simulator", "global_counters"]
+__all__ = ["Event", "Key", "SimCounters", "Simulator", "global_counters"]
+
+#: An event's place in the schedule: ``(time, seq)``.
+Key = tuple[float, int]
 
 #: Scheduling slightly in the past happens when callers compute an absolute
 #: timestamp as ``now + dt`` and float rounding pushes the reconstructed
@@ -39,6 +72,10 @@ PAST_TOLERANCE_S = 1e-9
 #: many are in it and they outnumber the live ones, so a rebuild costs
 #: O(1) amortised per cancel.
 COMPACT_MIN_CANCELLED = 64
+
+#: Held instants are swept for reached anchors once the table holds this
+#: many, and again whenever it doubles past what the last sweep kept.
+HOLDS_SWEEP_MIN = 64
 
 
 class SimCounters(NamedTuple):
@@ -111,6 +148,12 @@ class Simulator:
         self.events_scheduled = 0
         self.events_executed = 0
         self.events_cancelled = 0
+        # seq of the event being dispatched; between runs, every seq
+        # claimed so far (all of them at or before ``now`` have run).
+        self._cursor = 0
+        # Held instants: time -> (anchor key, event, on_tie), see push_held().
+        self._holds: dict[float, tuple[Key, Event, Callable[[], None]]] = {}
+        self._holds_limit = HOLDS_SWEEP_MIN
         # Captured once at construction: with nothing installed these are
         # the null tracer and auditor, whose hooks run() never calls.
         active = instruments.current()
@@ -123,9 +166,12 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         global _total_scheduled
         self._seq += 1
+        time = self.now + delay
+        if time in self._holds:
+            self._break_hold(time)
         event = Event(callback, args)
         event.sim = self
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._pending += 1
         self.events_scheduled += 1
         _total_scheduled += 1
@@ -143,6 +189,108 @@ class Simulator:
             delay = 0.0
         return self.schedule(delay, callback, *args)
 
+    def claim(self, delay: float) -> Key:
+        """Claim the key ``schedule(delay, ...)`` would give an event now.
+
+        Nothing is pushed: :meth:`push` the event under the key later, or
+        drop the key.  Either way the claim used up its ``seq``, so every
+        later event sorts as it would have.
+        """
+        if not delay >= 0.0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        time = self.now + delay
+        if time in self._holds:
+            self._break_hold(time)
+        return (time, self._seq)
+
+    def push(self, key: Key, callback: Callable[..., None], *args: Any) -> Event:
+        """Push ``callback(*args)`` under a key claimed earlier.
+
+        The key must not have been :meth:`reached` yet; it then fires
+        exactly where an event scheduled at claim time would have.
+        """
+        global _total_scheduled
+        event = Event(callback, args)
+        event.sim = self
+        heapq.heappush(self._heap, (key[0], key[1], event))
+        self._pending += 1
+        self.events_scheduled += 1
+        _total_scheduled += 1
+        return event
+
+    def reached(self, key: Key) -> bool:
+        """Whether ``key`` lies at or before the event being dispatched.
+
+        Between runs every key claimed so far at or before ``now`` counts
+        as reached, since ``run`` dispatched all of them.
+        """
+        time = key[0]
+        now = self.now
+        return time < now or (time == now and key[1] <= self._cursor)
+
+    def push_held(
+        self,
+        anchor: Key,
+        time: float,
+        on_tie: Callable[[], None],
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> Event | None:
+        """Push ``callback(*args)`` at ``time`` for the event at ``anchor``.
+
+        Stands in for ``schedule_at`` called first thing when the event
+        at the claimed key ``anchor`` is dispatched (``time`` is the float
+        that call would produce), for an owner that may never push the
+        anchor.  The event goes in now, under a provisional ``seq``, and
+        the instant ``time`` is held until the anchor is reached.  A claim
+        of that instant in the meantime would sort before the real key
+        but after the provisional one, so it cancels the event and calls
+        ``on_tie()``: the owner must then push the anchor event and
+        schedule ``callback`` from it.  Returns ``None``, and holds
+        nothing, when another held event already ties at ``time``: the
+        two provisional keys could sort in either order, so both owners
+        fall back to their anchors.
+        """
+        global _total_scheduled
+        self._seq += 1
+        holds = self._holds
+        if time in holds:
+            if self._break_hold(time):
+                return None
+        elif len(holds) >= self._holds_limit:
+            holds = self._drop_reached_holds()
+        # push(), inlined: this runs once per packet per hop.
+        event = Event(callback, args)
+        event.sim = self
+        heapq.heappush(self._heap, (time, self._seq, event))
+        self._pending += 1
+        self.events_scheduled += 1
+        _total_scheduled += 1
+        holds[time] = (anchor, event, on_tie)
+        return event
+
+    def _drop_reached_holds(self) -> dict[float, tuple[Key, Event, Callable[[], None]]]:
+        """Forget every hold whose anchor has been reached, in one sweep.
+
+        An owner holds one instant per anchor, and once the anchor is
+        reached nothing can tie with it, so holds are not released one by
+        one; this sweep keeps the table at about one entry per owner.
+        """
+        position = (self.now, self._cursor)
+        holds = self._holds = {t: hold for t, hold in self._holds.items() if hold[0] > position}
+        self._holds_limit = max(HOLDS_SWEEP_MIN, 2 * len(holds))
+        return holds
+
+    def _break_hold(self, time: float) -> bool:
+        """Something claimed a held instant: hand the event back if live."""
+        anchor, event, on_tie = self._holds.pop(time)
+        if self.reached(anchor):
+            return False  # the provisional key already sorts right
+        event.cancel()
+        on_tie()
+        return True
+
     def run(self, until: float | None = None) -> None:
         """Run events in order until the heap drains or ``until`` is reached.
 
@@ -153,43 +301,51 @@ class Simulator:
         compare.  ``schedule()`` rejects negative and NaN delays, so a
         dispatch behind ``now`` means an entry pushed onto the heap behind
         ``schedule()``'s back; only then is the auditor called, to flag it.
-        Tracing is decided once per call and records a dispatch span and a
-        queue-depth sample.
+        Each dispatch also records its ``seq`` for :meth:`reached`.  The
+        executed-event counters are summed in a local and added when the
+        loop exits.  Tracing is decided once per call and records a
+        dispatch span and a queue-depth sample.
         """
         global _total_executed
         heap = self._heap  # compaction rebuilds this list in place
         tracer = self.tracer
         traced = tracer.enabled
         now = self.now  # local mirror: one compare per event, no attr load
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            etime, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            # Detach so a late cancel() on a fired event cannot skew counters.
-            event.sim = None
-            self._pending -= 1
-            self.events_executed += 1
-            _total_executed += 1
-            if etime < now:
-                self.auditor.flag(
-                    "audit.sim.time_regression_s",
-                    etime,
-                    regression_s=now - etime,
-                )
-            now = self.now = etime
-            event.callback(*event.args)
-            if traced:
-                # __qualname__ keeps the label deterministic; repr() of a bound
-                # method or partial would embed a memory address.
-                callback = event.callback
-                label = getattr(callback, "__qualname__", None) or type(callback).__name__
-                tracer.complete("sim.dispatch", etime, self.now, callback=label)
-                tracer.counter("sim.queue_depth", self.now, float(self._pending))
+        executed = 0
+        try:
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                etime, seq, event = heapq.heappop(heap)
+                if event.cancelled:
+                    self._dead -= 1
+                    continue
+                # Detach so a late cancel() on a fired event cannot skew counters.
+                event.sim = None
+                self._pending -= 1
+                executed += 1
+                if etime < now:
+                    self.auditor.flag(
+                        "audit.sim.time_regression_s",
+                        etime,
+                        regression_s=now - etime,
+                    )
+                now = self.now = etime
+                self._cursor = seq
+                event.callback(*event.args)
+                if traced:
+                    # __qualname__ keeps the label deterministic; repr() of a
+                    # bound method or partial would embed a memory address.
+                    callback = event.callback
+                    label = getattr(callback, "__qualname__", None) or type(callback).__name__
+                    tracer.complete("sim.dispatch", etime, self.now, callback=label)
+                    tracer.counter("sim.queue_depth", self.now, float(self._pending))
+        finally:
+            self.events_executed += executed
+            _total_executed += executed
         if until is not None and self.now < until:
             self.now = until
+        self._cursor = self._seq
 
     def _compact(self) -> None:
         """Drop every cancelled entry from the heap, in place."""

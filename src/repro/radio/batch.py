@@ -264,12 +264,16 @@ def rsrq_matrix(
     )
     noise_mw = 10.0 ** (noise_per_re_dbm(subcarrier_khz, noise_figure_db) / 10.0)
     out = np.empty((n, c), dtype=np.float64)
+    # The other cells sum left to right from zero, skipping column j: the
+    # prefix over the columns before j carries over from one column to
+    # the next, and only the columns after j are added per column.
+    prefix = np.zeros(n, dtype=np.float64)
     for j in range(c):
         signal_mw = mw[:, j]
-        full = np.zeros(n, dtype=np.float64)
-        for i in range(c):
-            if i != j:
-                full = full + mw[:, i]
+        full = prefix
+        for i in range(j + 1, c):
+            full = full + mw[:, i]
+        prefix = prefix + signal_mw
         rssi_prb_mw = _RE_PER_PRB * (((signal_mw + full) + floor_mw) + noise_mw)
         rsrq_linear = signal_mw / rssi_prb_mw
         positive = rsrq_linear > 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro import instruments
 from repro.net.packet import ACK, DATA, Packet
 from repro.net.path import NetworkPath
-from repro.net.sim import Event, Simulator
+from repro.net.sim import Event, Key, Simulator
 
 __all__ = ["CongestionControl", "TcpSender", "TcpReceiver", "TcpConnection", "FlowStats"]
 
@@ -208,7 +208,16 @@ class TcpReceiver:
 
 
 class TcpSender:
-    """Sender half: windowing, loss recovery, RTO, pacing, rate sampling."""
+    """Sender half: windowing, loss recovery, RTO, pacing, rate sampling.
+
+    The retransmission timer is re-armed on every transmission and every
+    new ACK.  Each arm claims the key a freshly scheduled timer would get
+    (:meth:`Simulator.claim`), but the sender keeps one live heap entry:
+    a later deadline leaves it in place, and when it fires early it
+    re-pushes itself under the latest key.  A shrinking RTO replaces the
+    entry, and disarming cancels it, so the timeout fires at exactly the
+    key and instant of the last arm.
+    """
 
     def __init__(
         self,
@@ -239,7 +248,9 @@ class TcpSender:
         self.srtt: float | None = None
         self.rttvar = 0.0
         self.rto_s = 1.0
-        self._rto_event: Event | None = None
+        self._rto_event: Event | None = None  # the one live timer entry
+        self._rto_entry: Key | None = None  # the key it was pushed under
+        self._rto_key: Key | None = None  # the key of the latest arm
         self._pace_event: Event | None = None
         self._send_log: dict[int, tuple[float, int]] = {}  # seq -> (time, delivered)
 
@@ -432,11 +443,23 @@ class TcpSender:
         # multi-packet drops of the 5G path).  This runs regardless of the
         # recovery state: holes created above the recovery point would
         # otherwise linger until an RTO whose backoff has spiralled.
-        for start, end in packet.meta.get("holes", ()):
-            seq = start
-            while seq < end:
-                self._retransmit_hole(seq)
-                seq += self.mss
+        # Nearly every segment fails the hold-off test, so the walk applies
+        # it inline; cum_ack, now and the hold-off stay fixed through it.
+        holes = packet.meta.get("holes", ())
+        if holes:
+            cum_ack = self.cum_ack
+            holdoff = self.srtt if self.srtt is not None else self.rto_s
+            mss = self.mss
+            retx_times = self._retx_times
+            for start, end in holes:
+                seq = start
+                while seq < end:
+                    if seq >= cum_ack:
+                        recent = retx_times.get(seq)
+                        if recent is None or not now - recent < holdoff:
+                            self._repair(seq)
+                            retx_times = self._retx_times  # rebuilt past 8192
+                    seq += mss
         self._try_send()
 
     def _retransmit_hole(self, seq: int) -> None:
@@ -447,6 +470,10 @@ class TcpSender:
         holdoff = self.srtt if self.srtt is not None else self.rto_s
         if recent is not None and self.sim.now - recent < holdoff:
             return
+        self._repair(seq)
+
+    def _repair(self, seq: int) -> None:
+        """Retransmit the segment at ``seq`` and note when."""
         self._retx_times[seq] = self.sim.now
         if len(self._retx_times) > 8192:
             self._retx_times = {
@@ -490,17 +517,33 @@ class TcpSender:
         self.rto_s = min(max(self.srtt + 4 * self.rttvar, _MIN_RTO_S), _MAX_RTO_S)
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        if self.in_flight_bytes > 0:
-            self._rto_event = self.sim.schedule(self.rto_s, self._on_timeout)
+        if self.in_flight_bytes <= 0:
+            self._cancel_rto()
+            return
+        key = self.sim.claim(self.rto_s)
+        self._rto_key = key
+        if self._rto_event is not None:
+            if not key < self._rto_entry:
+                return  # the live entry fires first and re-pushes itself
+            self._rto_event.cancel()
+        self._rto_entry = key
+        self._rto_event = self.sim.push(key, self._rto_fired)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
             self._rto_event.cancel()
             self._rto_event = None
 
-    def _on_timeout(self) -> None:
+    def _rto_fired(self) -> None:
+        key = self._rto_key
+        if key != self._rto_entry:  # re-armed since: not due yet
+            self._rto_entry = key
+            self._rto_event = self.sim.push(key, self._rto_fired)
+            return
         self._rto_event = None
+        self._on_timeout()
+
+    def _on_timeout(self) -> None:
         if self.in_flight_bytes == 0:
             return
         self.stats.timeouts += 1

@@ -7,9 +7,10 @@ core replicates the scalar arithmetic operation-for-operation (see
 ``repro.core.vecmath``), so any drift, however small, is a bug.
 
 Also hosts the hot-path regression test: one survey point must build
-exactly one path-loss map (the pre-fix ``_survey_at`` built three), and
-the adversarial test of the candidate-pair wall-crossing kernel against
-the scalar clip on the 227-building urban-canyon district.
+exactly one path-loss map (the pre-fix ``_survey_at`` built three), the
+adversarial test of the candidate-pair wall-crossing kernel against
+the scalar clip on the 227-building urban-canyon district, and the
+prefix-carrying ``rsrq_matrix`` against its per-column sum.
 """
 
 import math
@@ -18,12 +19,14 @@ import numpy as np
 import pytest
 
 from repro.core import RngFactory
+from repro.core import vecmath as vm
 from repro.experiments.common import testbed as build_testbed
 from repro.geometry.buildings import Building, BuildingMap
 from repro.geometry.points import Point
 from repro.radio import RadioNetwork, batch, linkadapt
 from repro.radio.coverage import _survey_at, survey_at_locations
 from repro.radio.propagation import _MIN_DISTANCE_M, _SHADOW_GRID_M, Environment
+from repro.radio.signal import _RE_PER_PRB, noise_per_re_dbm
 
 SEED = 7
 
@@ -367,3 +370,40 @@ class TestWallCrossingKernel:
         assert BuildingMap(()).wall_crossings_counts(0.0, 0.0, 5.0, 5.0).tolist() == 0
         wall = BuildingMap([Building(0.0, 0.0, 1.0, 1.0)])
         assert wall.wall_crossings_counts(empty, empty, empty, empty).shape == (0, 3)
+
+
+def _rsrq_matrix_per_column(rsrp_matrix, subcarrier_khz, interference_floor_dbm=None):
+    """``rsrq_matrix`` as first written: every column re-sums the others."""
+    mw = vm.exp10(rsrp_matrix / 10.0)
+    n, c = mw.shape
+    floor_mw = (
+        10.0 ** (interference_floor_dbm / 10.0) if interference_floor_dbm is not None else 0.0
+    )
+    noise_mw = 10.0 ** (noise_per_re_dbm(subcarrier_khz, 7.0) / 10.0)
+    out = np.empty((n, c), dtype=np.float64)
+    for j in range(c):
+        signal_mw = mw[:, j]
+        full = np.zeros(n, dtype=np.float64)
+        for i in range(c):
+            if i != j:
+                full = full + mw[:, i]
+        rssi_prb_mw = _RE_PER_PRB * (((signal_mw + full) + floor_mw) + noise_mw)
+        rsrq_linear = signal_mw / rssi_prb_mw
+        positive = rsrq_linear > 0
+        out[:, j] = np.where(
+            positive, 10.0 * vm.log10(np.where(positive, rsrq_linear, 1.0)), -np.inf
+        )
+    return out
+
+
+class TestRsrqMatrixPrefix:
+    @pytest.mark.parametrize("columns", [1, 2, 3, 7, 34])
+    @pytest.mark.parametrize("floor_dbm", [None, -95.0])
+    def test_bit_identical_to_the_per_column_sum(self, columns, floor_dbm):
+        rng = np.random.default_rng(columns)
+        rsrp = rng.uniform(-140.0, -60.0, size=(257, columns))
+        rsrp[rng.random(rsrp.shape) < 0.1] = -np.inf  # cells out of range
+        rsrp[3, :] = -np.inf  # a point no cell reaches
+        got = batch.rsrq_matrix(rsrp, 30.0, interference_floor_dbm=floor_dbm)
+        want = _rsrq_matrix_per_column(rsrp, 30.0, interference_floor_dbm=floor_dbm)
+        assert got.tobytes() == want.tobytes()

@@ -9,6 +9,14 @@ run registered, with their run-end residuals, so a renamed, missing or
 extra ledger fails here as surely as a changed throughput.  RTT and
 cwnd traces are pinned by count and SHA-256 of their JSON rendering.
 
+Two entries pin same-instant tie-breaks the short transfers miss: the
+0.5 s cubic PEP transfer the ``anomaly-transfers`` benchmark runs at
+transfer seed 8047, where a wired-link serialization end and an ACK
+arrival fall on the same float instant, and a cubic transfer across a
+hand-off outage (``NetworkPath.schedule_access_outage``, the fig12
+pattern) that pauses the radio link mid-serialization and backs its
+RTO off twice.
+
 Regenerate (only for an intended output change) with::
 
     PYTHONPATH=src python -m tests.test_transfers_golden
@@ -25,11 +33,15 @@ from typing import Any
 from repro import instruments
 from repro.audit.core import Auditor
 from repro.cli import _to_jsonable
+from repro.core.rng import default_rng
 from repro.experiments.common import path_config
 from repro.experiments.remedy_comparison import REMEDY_VARIANTS
+from repro.net.path import PathConfig, build_cellular_path
+from repro.net.sim import Simulator
 from repro.qdisc import RemedySection
 from repro.scenario import resolve_scenario
-from repro.transport.iperf import run_tcp, run_udp
+from repro.transport.base import TcpConnection
+from repro.transport.iperf import make_cc, run_tcp, run_udp
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "transfers_seed7.json"
 
@@ -43,6 +55,40 @@ AQM_REMEDIES = {
     **{name: REMEDY_VARIANTS[name] for name in ("codel", "fq-codel", "cake", "cake-autorate")},
     "cake-both": RemedySection(qdisc="cake", apply_to="both"),
 }
+#: The ``anomaly-transfers`` benchmark's ``cubic-pep#7`` at seed 7.
+PEP_TIE_SEED = 8047
+PEP_TIE_DURATION_S = 0.5
+#: A hand-off gap that outlasts two backed-off RTOs, mid-transfer.
+OUTAGE_AT_S = 0.4
+OUTAGE_S = 0.6
+OUTAGE_DURATION_S = 1.5
+
+
+def _cubic_across_outage(config: PathConfig) -> dict[str, Any]:
+    """A cubic transfer whose radio link pauses for a hand-off gap."""
+    sim = Simulator()
+    path = build_cellular_path(sim, config, default_rng(SEED))
+    conn = TcpConnection.establish(
+        sim, path, make_cc("cubic", config.mss_bytes, rate_scale=config.scale)
+    )
+    path.schedule_access_outage(OUTAGE_AT_S, OUTAGE_S)
+    conn.start()
+    sim.run(until=OUTAGE_DURATION_S)
+    stats = conn.sender.stats
+    return {
+        "bytes_acked": stats.bytes_acked,
+        "packets_sent": stats.packets_sent,
+        "retransmissions": stats.retransmissions,
+        "timeouts": stats.timeouts,
+        "fast_retransmits": stats.fast_retransmits,
+        "rto_s": conn.sender.rto_s,
+        "cwnd_trace": stats.cwnd_trace,
+        "rtt_samples": stats.rtt_samples,
+        "delivered_trace": stats.delivered_trace,
+        "link_delivered": {
+            link.name: link.delivered for link in path.forward + path.reverse
+        },
+    }
 
 
 def _transfers() -> dict[str, Callable[[], Any]]:
@@ -64,6 +110,15 @@ def _transfers() -> dict[str, Callable[[], Any]]:
     runs["cubic-pep"] = lambda: run_tcp(
         pep, "cubic", duration_s=DURATION_S, seed=SEED, baseline_bps=baseline_bps
     )
+    runs["cubic-pep-tie"] = lambda: run_tcp(
+        pep, "cubic", duration_s=PEP_TIE_DURATION_S, seed=PEP_TIE_SEED,
+        baseline_bps=baseline_bps,
+    )
+    # fig12's path: no scheduling stalls (a stall's resume would end the
+    # outage early) and no cross traffic.
+    runs["cubic-outage"] = lambda: _cubic_across_outage(
+        path_config(paper, with_cross_traffic=False, with_scheduling_stalls=False)
+    )
     # Offered above the radio capacity, so the drop-tail queues overflow.
     runs["udp-droptail"] = lambda: run_udp(
         droptail, 1.1 * baseline_bps, duration_s=DURATION_S, seed=SEED
@@ -73,7 +128,7 @@ def _transfers() -> dict[str, Callable[[], Any]]:
 
 def _pinned(result: Any) -> dict[str, Any]:
     data = _to_jsonable(result)
-    for key in ("cwnd_trace", "rtt_samples"):
+    for key in ("cwnd_trace", "rtt_samples", "delivered_trace"):
         if key in data:
             rendered = json.dumps(data[key]).encode()
             data[key] = {"count": len(data[key]), "sha256": hashlib.sha256(rendered).hexdigest()}
