@@ -1,4 +1,5 @@
-"""Batched radio core speedup: the dense-grid survey must be >=10x faster.
+"""Batched radio core speedups: the dense-grid survey must be >=10x faster,
+and cold shadow-fading draws >=4x faster through the batched keyed draw.
 
 Times the full-campus dense grid survey two ways on the densified
 ``dense-grid`` scenario:
@@ -13,12 +14,20 @@ cache, so warm-cache timing isolates the path-loss/combining math that
 the vectorization actually targets.  Results must also agree exactly —
 the speedup claim is only meaningful if the answers are bit-identical.
 
-Run with plain ``pytest benchmarks/test_batch_speedup.py -s`` (this test
-times itself and does not use the pytest-benchmark fixture).
+The cold-draw case draws about 20k shadow-style keys two ways:
+``RngFactory.standard_normals`` over the whole list, and one
+``stream(key).standard_normal()`` per key, which builds a numpy
+``SeedSequence`` per key.  The values must be bitwise equal.
+
+Run with plain ``pytest benchmarks/test_batch_speedup.py -s`` (these tests
+time themselves and do not use the pytest-benchmark fixture).
 """
 
 import time
 
+import numpy as np
+
+from repro.core.rng import RngFactory
 from repro.experiments.common import testbed as build_testbed
 from repro.experiments.dense_survey import grid_locations
 from repro.radio.coverage import _survey_at, survey_at_locations
@@ -28,6 +37,13 @@ from repro.radio.coverage import _survey_at, survey_at_locations
 SCALAR_SAMPLE = 150
 
 MIN_SPEEDUP = 10.0
+
+#: Shadow keys of four masts over a 71 x 71 cell grid: 20,164 cold draws.
+SHADOW_MASTS = ((0, 0), (481, -35), (-120, 260), (75, 1210))
+SHADOW_CELLS = 71
+MIN_DRAW_SPEEDUP = 4.0
+#: Each side is timed this many times, alternating; the best run counts.
+DRAW_ROUNDS = 3
 
 
 def test_dense_grid_survey_speedup():
@@ -61,4 +77,35 @@ def test_dense_grid_survey_speedup():
     assert speedup >= MIN_SPEEDUP, (
         f"batched survey only {speedup:.1f}x faster than the scalar loop "
         f"(need >= {MIN_SPEEDUP}x)"
+    )
+
+
+def test_cold_shadow_draw_speedup():
+    keys = [
+        f"shadow:{tx}:{ty}:{gx}:{gy}:3500"
+        for tx, ty in SHADOW_MASTS
+        for gx in range(-10, SHADOW_CELLS - 10)
+        for gy in range(SHADOW_CELLS)
+    ]
+    factory = RngFactory(7)
+    batch_s, per_key_s = [], []
+    for _ in range(DRAW_ROUNDS):
+        start = time.perf_counter()
+        batched = factory.standard_normals(keys)
+        batch_s.append(time.perf_counter() - start)
+
+        start = time.perf_counter()
+        per_key = np.array([float(factory.stream(key).standard_normal()) for key in keys])
+        per_key_s.append(time.perf_counter() - start)
+
+    assert batched.tobytes() == per_key.tobytes()
+    speedup = min(per_key_s) / min(batch_s)
+    print(
+        f"\ncold shadow draws: batch {min(batch_s) / len(keys) * 1e6:.1f} us/key, "
+        f"per-key stream {min(per_key_s) / len(keys) * 1e6:.1f} us/key over "
+        f"{len(keys)} keys, speedup {speedup:.1f}x"
+    )
+    assert speedup >= MIN_DRAW_SPEEDUP, (
+        f"batched draw only {speedup:.1f}x faster than per-key streams "
+        f"(need >= {MIN_DRAW_SPEEDUP}x)"
     )

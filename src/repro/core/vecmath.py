@@ -3,18 +3,30 @@
 The golden-file discipline (``tests/test_scenario.py``) pins experiment
 results *byte for byte*, and the scalar physics in :mod:`repro.radio`
 computes its transcendentals through the C library via :mod:`math`.
-NumPy's SIMD ufuncs (``np.log10``, ``np.power``, ``np.hypot``, ...) are
-faster but round differently in the last ulp on many inputs, so a naive
-numpy port of the radio formulas would silently shift every RSRP mean.
+NumPy's SIMD ufuncs (``np.log10``, ``np.power``, ``np.hypot``,
+``np.arctan2``, ...) are faster but round differently in the last ulp on
+many inputs, so a naive numpy port of the radio formulas would silently
+shift every RSRP mean.
 
-This module squares that circle: each transcendental is an
-``np.frompyfunc`` wrapper around the exact scalar expression the radio
-code uses, evaluated per element through libm.  That costs ~140 ns per
-element — far below the Python-object path it replaces — and makes
-``batch == scalar`` hold bitwise *by construction*.  Everything else the
-batch kernels need (+, -, *, /, comparisons, ``np.maximum``/``minimum``,
-``np.where``, ``np.searchsorted``) is exact IEEE-754 arithmetic and
-therefore shared with the scalar path automatically.
+So every transcendental here is an ``np.frompyfunc`` wrapper around the
+:mod:`math` builtin itself (``log10``, ``log2``, ``hypot``, ``atan2``,
+``pow``), evaluated per element through libm with no Python frame in
+between.  Everything else is numpy operations that compute exactly what
+the scalar Python operators compute:
+
+* ``+``, ``-``, ``*``, ``/``, comparisons, ``np.maximum``/``minimum``,
+  ``np.where`` are single IEEE-754 operations;
+* ``np.remainder`` and ``np.floor_divide`` on float64 run numpy's
+  ``npy_divmod``, the same algorithm as CPython's float ``%`` and ``//``:
+  ``fmod``, then a sign fix (and for ``//`` the snapped quotient
+  ``(v - fmod(v, g)) / g``), never ``floor(v / g)``;
+* ``math.degrees(x)`` is ``x * (180.0 / pi)`` with that constant
+  rounded once, which :data:`_RAD_TO_DEG` reproduces.
+
+``batch == scalar`` therefore holds bitwise by construction;
+``tests/test_radio_batch.py`` checks each kernel against the scalar
+expression it replaces, on random values and on signed zeros, exact
+multiples and their neighbours, infinities, NaN and subnormals.
 
 Only the batched kernels should import this module; scalar code keeps
 calling :mod:`math` directly.
@@ -41,16 +53,15 @@ __all__ = [
 _log10 = np.frompyfunc(math.log10, 1, 1)
 _log2 = np.frompyfunc(math.log2, 1, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
-_exp10 = np.frompyfunc(lambda x: 10.0**x, 1, 1)
-_powf = np.frompyfunc(lambda base, exponent: base**exponent, 2, 1)
-# Matches Point.bearing_to: degrees(atan2(dx, dy)) folded into [0, 360).
-_bearing = np.frompyfunc(
-    lambda dx, dy: math.degrees(math.atan2(dx, dy)) % 360.0, 2, 1
-)
-# Matches antenna._angle_difference_deg: signed difference in [-180, 180).
-_angle_difference = np.frompyfunc(
-    lambda a, b: (a - b + 180.0) % 360.0 - 180.0, 2, 1
-)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+#: The factor ``math.degrees`` multiplies by (CPython's ``radToDeg``).
+_RAD_TO_DEG = 180.0 / math.pi
+
+#: Bounds of the float64 values that cast to int64 exactly.
+_INT64_LOW = -(2.0**63)
+_INT64_END = 2.0**63
 
 
 def as_float_array(values) -> np.ndarray:
@@ -74,8 +85,13 @@ def log2(values) -> np.ndarray:
 
 
 def exp10(values) -> np.ndarray:
-    """Elementwise ``10.0 ** x`` — the :func:`repro.core.units.dbm_to_mw` kernel."""
-    return _apply(_exp10, values)
+    """Elementwise ``10.0 ** x`` — the :func:`repro.core.units.dbm_to_mw` kernel.
+
+    Evaluated as ``math.pow(10.0, x)``: for a finite ``x`` both call the
+    same libm ``pow``, and both return ``inf``/``0.0``/``nan`` for
+    ``+inf``/``-inf``/``nan``.
+    """
+    return _apply(_pow, 10.0, values)
 
 
 def hypot(x, y) -> np.ndarray:
@@ -84,27 +100,47 @@ def hypot(x, y) -> np.ndarray:
 
 
 def powf(base, exponent) -> np.ndarray:
-    """Elementwise Python ``**`` (libm pow), broadcasting both operands."""
-    return _apply(_powf, base, exponent)
+    """Elementwise ``base ** exponent`` through libm ``pow``, broadcasting both.
+
+    ``math.pow`` reaches the same libm ``pow`` as Python's ``**`` for
+    finite operands.  A negative base with a fractional exponent raises
+    ``ValueError``, where ``**`` returned a complex number; the radio
+    core only calls this with the exponent 2.0.
+    """
+    return _apply(_pow, base, exponent)
 
 
 def bearing_deg(dx, dy) -> np.ndarray:
-    """Elementwise :meth:`Point.bearing_to` for displacement components."""
-    return _apply(_bearing, dx, dy)
+    """Elementwise :meth:`Point.bearing_to` for displacement components.
+
+    ``math.degrees(math.atan2(dx, dy)) % 360.0``: libm ``atan2`` per
+    element, then the ``math.degrees`` product and Python's ``%``.
+    """
+    return np.remainder(_apply(_atan2, dx, dy) * _RAD_TO_DEG, 360.0)
 
 
 def angle_difference_deg(a, b) -> np.ndarray:
-    """Elementwise smallest signed angular difference ``a - b``."""
-    return _apply(_angle_difference, a, b)
+    """Elementwise smallest signed angular difference ``a - b``.
+
+    ``(a - b + 180.0) % 360.0 - 180.0``, as
+    ``antenna._angle_difference_deg`` computes it, in [-180, 180).
+    """
+    return np.remainder(as_float_array(a) - b + 180.0, 360.0) - 180.0
 
 
 def shadow_grid_index(values, grid_m: float) -> np.ndarray:
     """Elementwise ``int(v // grid_m)`` as an int64 array.
 
-    Python's float floor-division is *not* ``floor(a / b)`` — it corrects
-    the quotient through ``fmod`` — so this goes through the scalar
-    operator to match the shadow-grid keys of
+    Python's float floor-division is *not* ``floor(v / grid_m)``: it
+    corrects the quotient through ``fmod``, and ``np.floor_divide`` runs
+    the same correction, so the indices match the shadow-grid keys of
     :meth:`Environment._shadow_standard_normal` exactly.
+
+    Raises:
+        ValueError: for a NaN, infinite or out-of-int64-range quotient,
+            which ``int()`` rejects too.
     """
-    ufunc = np.frompyfunc(lambda v: int(v // grid_m), 1, 1)
-    return ufunc(as_float_array(values)).astype(np.int64)
+    quotient = np.floor_divide(as_float_array(values), grid_m)
+    if not ((quotient >= _INT64_LOW) & (quotient < _INT64_END)).all():
+        raise ValueError(f"no shadow-grid index for a quotient outside int64 (grid {grid_m} m)")
+    return quotient.astype(np.int64)

@@ -5,6 +5,9 @@ The batched radio core (``repro.radio.batch`` and the matrix methods of
 that calls ``rsrp_map_at`` per point, or walks ``network.cells`` calling
 a scalar evaluator per cell, rebuilds exactly the quadratic hot path the
 vectorization removed — at 100-1000× the cost for survey-sized inputs.
+Likewise a loop calling ``<factory>.stream(key)`` per key builds one
+numpy ``SeedSequence`` per key, about seven times the per-key cost of
+``RngFactory.standard_normals``, which draws a batch of keyed normals.
 The rule guards the packages on that hot path (``radio/`` — including
 the survey code in ``coverage.py`` — and ``mobility/``); glue code
 elsewhere may still use the per-UE API freely.
@@ -46,7 +49,7 @@ def _iterates_cells(iter_node: ast.AST) -> bool:
 
 @rule
 class ScalarHotPathRule(Rule):
-    """Flag per-point/per-cell scalar radio evaluation in loops."""
+    """Flag per-point/per-cell scalar radio evaluation and per-key seeding in loops."""
 
     id = "REP008"
     name = "scalar-hot-path"
@@ -97,6 +100,15 @@ class ScalarHotPathRule(Rule):
                         "rsrp_map_at called per point inside a loop; batch the "
                         "points and use rsrp_matrix_at / samples_at / "
                         "bit_rates_at instead",
+                    )
+                elif name == "stream":
+                    reported.add(id(inner))
+                    yield self.violation(
+                        ctx,
+                        inner,
+                        "stream() per key inside a loop seeds one SeedSequence "
+                        "per key; draw the keys' normals in one "
+                        "RngFactory.standard_normals call",
                     )
                 elif over_cells and name in _EVAL_METHODS:
                     reported.add(id(inner))

@@ -145,6 +145,7 @@ class NetworkPath:
         reverse: list[Link],
         access_link: Link,
         wired_link: Link,
+        access_gate: _PauseGate | None = None,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -152,6 +153,8 @@ class NetworkPath:
         self.reverse = reverse
         self.access_link = access_link
         self.wired_link = wired_link
+        # Shared with the radio's stall process, when it has one.
+        self._access_gate = access_gate if access_gate is not None else _PauseGate(access_link)
         #: Closed-loop shaper controller, when the remedy arms one.
         self.autorate: AutorateController | None = None
         self._forward_sink = None
@@ -203,11 +206,15 @@ class NetworkPath:
         return sum(link.queue.drops for link in self.forward)
 
     def schedule_access_outage(self, start_s: float, duration_s: float) -> None:
-        """Pause the radio link for a hand-off gap (Sec. 4.3)."""
+        """Pause the radio link for a hand-off gap (Sec. 4.3).
+
+        The link stays paused for the whole gap, whatever scheduling
+        stalls begin or end inside it.
+        """
         if duration_s < 0:
             raise ValueError(f"outage duration must be >= 0, got {duration_s}")
-        self.sim.schedule_at(start_s, self.access_link.pause)
-        self.sim.schedule_at(start_s + duration_s, self.access_link.resume)
+        self.sim.schedule_at(start_s, self._access_gate.hold)
+        self.sim.schedule_at(start_s + duration_s, self._access_gate.release)
 
     def hop_rtts_s(self, rng: np.random.Generator, jitter_s: float = 0.0003) -> list[float]:
         """Per-hop probe RTTs as traceroute would report them (Fig. 14).
@@ -242,8 +249,32 @@ def segment_delays_s(
     return delays
 
 
+class _PauseGate:
+    """Keeps a link paused while a scheduling stall or a hand-off outage holds it.
+
+    ``Link.pause``/``resume`` are idempotent rather than counted, so a
+    stall ending inside an outage would otherwise resume the link early.
+    The gate pauses the link at the first hold and resumes it when the
+    last one is released.
+    """
+
+    def __init__(self, link: Link) -> None:
+        self._link = link
+        self._holds = 0
+
+    def hold(self) -> None:
+        self._holds += 1
+        if self._holds == 1:
+            self._link.pause()
+
+    def release(self) -> None:
+        self._holds -= 1
+        if self._holds == 0:
+            self._link.resume()
+
+
 class _StallProcess:
-    """Periodically pauses a link to emulate radio scheduling stalls.
+    """Periodically holds a link's pause gate to emulate radio scheduling stalls.
 
     Self-terminates after ``horizon_s`` so that ``Simulator.run()`` without
     an explicit end time still drains (no experiment runs that long).
@@ -252,12 +283,12 @@ class _StallProcess:
     def __init__(
         self,
         sim: Simulator,
-        link: Link,
+        gate: _PauseGate,
         rng: np.random.Generator,
         horizon_s: float = 3600.0,
     ) -> None:
         self._sim = sim
-        self._link = link
+        self._gate = gate
         self._rng = rng
         self._horizon_s = horizon_s
         self._schedule_next()
@@ -270,21 +301,23 @@ class _StallProcess:
 
     def _stall(self) -> None:
         duration = float(self._rng.uniform(_STALL_MIN_S, _STALL_MAX_S))
-        self._link.pause()
+        self._gate.hold()
         self._sim.schedule(duration, self._unstall)
 
     def _unstall(self) -> None:
-        self._link.resume()
+        self._gate.release()
         self._schedule_next()
 
 
 def _build_links(
     sim: Simulator, config: PathConfig, rng: np.random.Generator
-) -> tuple[Link, Link, Link, float]:
-    """The wired bottleneck, core and radio-access links, and the ACK rate.
+) -> tuple[Link, Link, Link, float, _PauseGate]:
+    """The wired bottleneck, core and radio-access links, the ACK rate and
+    the radio link's pause gate.
 
-    Also starts the radio's scheduling-stall process.  Construction order
-    is fixed: it orders the audit watches and the ``derive(rng)`` draws.
+    Also starts the radio's scheduling-stall process on that gate.
+    Construction order is fixed: it orders the audit watches and the
+    ``derive(rng)`` draws.
     """
     generation = config.profile.generation
     scale = config.scale
@@ -356,9 +389,10 @@ def _build_links(
         qdisc=access_qdisc,
     )
 
+    access_gate = _PauseGate(access)
     if config.with_scheduling_stalls:
-        _StallProcess(sim, access, derive(rng))
-    return wired, core, access, max(access_rate, wired_rate)
+        _StallProcess(sim, access_gate, derive(rng))
+    return wired, core, access, max(access_rate, wired_rate), access_gate
 
 
 def _ack_links(sim: Simulator, forward: list[Link], ack_rate_bps: float) -> list[Link]:
@@ -391,11 +425,11 @@ def build_cellular_path(
     campaign inherits the campaign seed — thread one in from
     :func:`repro.core.rng.default_rng` or an ``RngFactory`` stream.
     """
-    wired, core, access, ack_rate = _build_links(sim, config, rng)
+    wired, core, access, ack_rate, access_gate = _build_links(sim, config, rng)
     forward = [wired, core, access] if config.direction == "dl" else [access, core, wired]
     path = NetworkPath(
         sim, config, forward, _ack_links(sim, forward, ack_rate),
-        access_link=access, wired_link=wired,
+        access_link=access, wired_link=wired, access_gate=access_gate,
     )
     path.autorate = _arm_autorate(sim, config.remedy, wired, access)
     return path
@@ -438,7 +472,7 @@ def build_split_paths(
     The remedy's qdisc settings still apply to the WAN bottleneck, so a
     PEP can be combined with AQM.
     """
-    wired, core, access, ack_rate = _build_links(sim, config, rng)
+    wired, core, access, ack_rate, access_gate = _build_links(sim, config, rng)
     wan_forward = [wired, core] if config.direction == "dl" else [core, wired]
     wan_path = NetworkPath(
         sim, config, wan_forward, _ack_links(sim, wan_forward, ack_rate),
@@ -446,7 +480,7 @@ def build_split_paths(
     )
     ran_path = NetworkPath(
         sim, config, [access], _ack_links(sim, [access], ack_rate),
-        access_link=access, wired_link=access,
+        access_link=access, wired_link=access, access_gate=access_gate,
     )
     wan_path.autorate = _arm_autorate(sim, config.remedy, wired, access)
     return wan_path, ran_path

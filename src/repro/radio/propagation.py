@@ -12,6 +12,9 @@ mechanisms behind three of the paper's coverage findings:
 
 Shadowing is drawn deterministically from the sampling location so repeated
 surveys of the same spot observe the same large-scale fade, as in reality.
+Each fade is the first normal of the ``RngFactory`` stream keyed by its
+transmitter, shadow-grid cell and carrier; the batched path draws all of a
+survey's new keys in one :meth:`RngFactory.standard_normals` call.
 """
 
 from __future__ import annotations
@@ -247,20 +250,20 @@ class Environment:
         """Array form of :meth:`_shadow_standard_normal` over grid indices.
 
         ``grid_x``/``grid_y`` are *shadow-grid* indices (``int(x // 10)``)
-        rather than coordinates; the batched radio core deduplicates the
-        receiver grid cells before calling, so each unique fade is keyed,
-        drawn and cached exactly once — shared with the scalar path, in
-        any evaluation order (each key seeds its own RNG stream).
+        rather than coordinates.  The keys missing from the shared cache
+        are drawn with one :meth:`RngFactory.standard_normals` call, whose
+        values equal the per-key ``stream(key).standard_normal()`` that
+        the scalar path draws, so the cache holds the same fade for a key
+        in any evaluation order.  A key repeated in the input is drawn
+        once.
         """
         prefix = f"shadow:{round(tx.x)}:{round(tx.y)}:"
         suffix = f":{round(carrier_mhz)}"
-        out = np.empty(len(grid_x), dtype=np.float64)
+        keys = [
+            f"{prefix}{gx}:{gy}{suffix}" for gx, gy in zip(grid_x.tolist(), grid_y.tolist())
+        ]
         cache = self._shadow_cache
-        for i, (gx, gy) in enumerate(zip(grid_x.tolist(), grid_y.tolist())):
-            key = f"{prefix}{gx}:{gy}{suffix}"
-            cached = cache.get(key)
-            if cached is None:
-                cached = float(self._rng.stream(key).standard_normal())
-                cache[key] = cached
-            out[i] = cached
-        return out
+        missing = [key for key in dict.fromkeys(keys) if key not in cache]
+        if missing:
+            cache.update(zip(missing, self._rng.standard_normals(missing).tolist()))
+        return np.fromiter(map(cache.__getitem__, keys), dtype=np.float64, count=len(keys))

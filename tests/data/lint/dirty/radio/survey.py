@@ -30,3 +30,7 @@ def allowed_per_cell_geometry(network, location):
     # Attribute reads and distance math over .cells are fine — only the
     # scalar radio evaluators have batched twins.
     return [cell.distance_to(location) for cell in network.cells]
+
+
+def slow_fades(factory, keys):
+    return [float(factory.stream(key).standard_normal()) for key in keys]

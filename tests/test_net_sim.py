@@ -15,6 +15,7 @@ from repro.net import (
 )
 from repro.net.link import DelayProcess
 from repro.qdisc import CakeQueue, DropTailQueue
+from repro.transport.udp import UdpSender
 
 
 class TestSimulator:
@@ -508,6 +509,40 @@ class TestBuiltPath:
         sim.run(until=1.0)
         assert len(arrivals) == 1
         assert arrivals[0] >= 0.5
+
+    def test_outage_holds_through_scheduling_stalls(self):
+        # Stalls pause and resume the radio link every ~50 ms; one ending
+        # inside a hand-off outage must not resume the link mid-outage.
+        sim = Simulator()
+        config = PathConfig(profile=NR_PROFILE, scale=0.05, with_cross_traffic=False)
+        assert config.with_scheduling_stalls
+        path = build_cellular_path(sim, config, np.random.default_rng(0))
+        access = path.access_link
+        UdpSender(sim, path, 0.5 * config.access_rate_bps() * config.scale).start()
+        delivered = {}
+        # In-flight packets land within the RAN delay; from 0.45 s on, the
+        # paused link delivers nothing until the outage ends at 1.0 s.
+        for t in (0.45, 0.99, 1.5):
+            sim.schedule_at(t, lambda t=t: delivered.__setitem__(t, access.delivered))
+        path.schedule_access_outage(0.4, 0.6)
+        sim.run(until=1.5)
+        assert delivered[0.45] > 0
+        assert delivered[0.99] == delivered[0.45]
+        assert delivered[1.5] > delivered[0.99]
+
+    def test_stall_and_outage_pause_for_their_union(self):
+        sim = Simulator()
+        config = PathConfig(profile=NR_PROFILE, scale=0.05, with_scheduling_stalls=False)
+        path = build_cellular_path(sim, config, np.random.default_rng(0))
+        gate = path._access_gate
+        paused = {}
+        sim.schedule_at(0.10, gate.hold)  # a stall from 0.10 s to 0.30 s
+        sim.schedule_at(0.30, gate.release)
+        path.schedule_access_outage(0.20, 0.20)  # an outage from 0.20 s to 0.40 s
+        for t in (0.05, 0.15, 0.25, 0.35, 0.45):
+            sim.schedule_at(t, lambda t=t: paused.__setitem__(t, path.access_link._paused))
+        sim.run(until=0.5)
+        assert paused == {0.05: False, 0.15: True, 0.25: True, 0.35: True, 0.45: False}
 
     def test_hop_rtts_monotone(self):
         path = build_cellular_path(

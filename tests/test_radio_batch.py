@@ -9,8 +9,10 @@ core replicates the scalar arithmetic operation-for-operation (see
 Also hosts the hot-path regression test: one survey point must build
 exactly one path-loss map (the pre-fix ``_survey_at`` built three), the
 adversarial test of the candidate-pair wall-crossing kernel against
-the scalar clip on the 227-building urban-canyon district, and the
-prefix-carrying ``rsrq_matrix`` against its per-column sum.
+the scalar clip on the 227-building urban-canyon district, the
+prefix-carrying ``rsrq_matrix`` against its per-column sum, each numpy
+kernel of ``repro.core.vecmath`` against the per-element lambda it
+replaced, and the batched shadow draws against their keyed streams.
 """
 
 import math
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core import RngFactory
 from repro.core import vecmath as vm
+from repro.core.rng import streams_drawn as rng_streams_drawn
 from repro.experiments.common import testbed as build_testbed
 from repro.geometry.buildings import Building, BuildingMap
 from repro.geometry.points import Point
@@ -407,3 +410,149 @@ class TestRsrqMatrixPrefix:
         got = batch.rsrq_matrix(rsrp, 30.0, interference_floor_dbm=floor_dbm)
         want = _rsrq_matrix_per_column(rsrp, 30.0, interference_floor_dbm=floor_dbm)
         assert got.tobytes() == want.tobytes()
+
+
+# The vecmath kernels as per-element Python lambdas, the form they had
+# before becoming numpy operations: the references of TestVecmathKernels.
+_LAMBDA_EXP10 = np.frompyfunc(lambda x: 10.0**x, 1, 1)
+_LAMBDA_POWF = np.frompyfunc(lambda base, exponent: base**exponent, 2, 1)
+_LAMBDA_BEARING = np.frompyfunc(
+    lambda dx, dy: math.degrees(math.atan2(dx, dy)) % 360.0, 2, 1
+)
+_LAMBDA_ANGLE_DIFFERENCE = np.frompyfunc(
+    lambda a, b: (a - b + 180.0) % 360.0 - 180.0, 2, 1
+)
+
+
+def _by_lambda(ufunc, *arrays):
+    return ufunc(*arrays).astype(np.float64)
+
+
+def _grid_index_by_lambda(values, grid_m):
+    return np.frompyfunc(lambda v: int(v // grid_m), 1, 1)(values).astype(np.int64)
+
+
+def _with_neighbours(values):
+    """Each value and the floats one ulp either side of it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate(
+        [values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)]
+    )
+
+
+#: Signed zeros, infinities, NaN, subnormals and tiny normals, plus the
+#: multiples of 360 (and the ±180 folds) with their one-ulp neighbours.
+_SPECIALS = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310],
+        [1e-300, -1e-300],
+        _with_neighbours(360.0 * np.arange(-4, 5)),
+        _with_neighbours([180.0, -180.0, 540.0]),
+    ]
+)
+
+
+def _values(seed, n=4000):
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [
+            _SPECIALS,
+            rng.uniform(-1000.0, 1000.0, n),
+            rng.normal(0.0, 1e6, n // 8),
+            rng.uniform(-1.0, 1.0, n // 8),
+        ]
+    )
+
+
+class TestVecmathKernels:
+    """Each numpy kernel against its old lambda, compared bit for bit."""
+
+    def test_angle_difference(self):
+        a = _values(1)
+        with np.errstate(invalid="ignore"):  # fmod(±inf, 360) is NaN
+            for b in (np.roll(a, 7), 17.5, -120.0, 0.0, -0.0):
+                got = vm.angle_difference_deg(a, b)
+                assert got.tobytes() == _by_lambda(_LAMBDA_ANGLE_DIFFERENCE, a, b).tobytes()
+
+    def test_bearing(self):
+        dx, dy = (grid.ravel() for grid in np.meshgrid(_SPECIALS, _SPECIALS))
+        dx = np.concatenate([dx, _values(2)])
+        dy = np.concatenate([dy, np.roll(_values(3), 11)])
+        with np.errstate(invalid="ignore"):
+            got = vm.bearing_deg(dx, dy)
+            assert got.tobytes() == _by_lambda(_LAMBDA_BEARING, dx, dy).tobytes()
+        # A tiny negative angle folds to exactly 360.0, as Python's % does.
+        assert vm.bearing_deg(np.array([-1e-300]), np.array([1.0])).tolist() == [360.0]
+
+    def test_exp10(self):
+        finite = _SPECIALS[~np.isfinite(_SPECIALS) | (np.abs(_SPECIALS) < 300.0)]
+        rng = np.random.default_rng(4)
+        x = np.concatenate(
+            [finite, rng.uniform(-30.0, 30.0, 4000), rng.uniform(-320.0, 300.0, 500)]
+        )
+        assert vm.exp10(x).tobytes() == _by_lambda(_LAMBDA_EXP10, x).tobytes()
+        for overflow in ([400.0], [309.0]):
+            with pytest.raises(OverflowError):
+                vm.exp10(overflow)
+            with pytest.raises(OverflowError):
+                _by_lambda(_LAMBDA_EXP10, np.array(overflow))
+
+    def test_powf(self):
+        rng = np.random.default_rng(5)
+        base = np.concatenate([_SPECIALS, rng.uniform(-5.0, 5.0, 4000)])
+        for exponent in (2.0, 3.0, 0.0):
+            got = vm.powf(base, exponent)
+            assert got.tobytes() == _by_lambda(_LAMBDA_POWF, base, exponent).tobytes()
+        positive = np.concatenate([[1e-3, 1.0, 1e3], rng.uniform(1e-3, 1e3, 4000)])
+        for exponent in (0.5, -1.0, 2.5, rng.uniform(-3.0, 3.0, len(positive))):
+            got = vm.powf(positive, exponent)
+            assert got.tobytes() == _by_lambda(_LAMBDA_POWF, positive, exponent).tobytes()
+
+    def test_powf_of_a_negative_base_to_a_fraction_raises(self):
+        with pytest.raises(ValueError):
+            vm.powf(-2.0, 0.5)
+
+    @pytest.mark.parametrize("grid_m", [10.0, 7.0, 0.1])
+    def test_shadow_grid_index(self, grid_m):
+        rng = np.random.default_rng(6)
+        values = np.concatenate(
+            [
+                [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310],
+                _with_neighbours(grid_m * np.arange(-60, 61)),
+                rng.uniform(-2000.0, 2000.0, 4000),
+            ]
+        )
+        want = _grid_index_by_lambda(values, grid_m)
+        got = vm.shadow_grid_index(values, grid_m)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        # The values include ones where floor(v / g) and v // g differ.
+        assert (np.floor(values / grid_m).astype(np.int64) != want).any()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_shadow_grid_index_rejects_non_finite(self, bad):
+        values = np.array([1.0, bad])
+        with pytest.raises((ValueError, OverflowError)):
+            _grid_index_by_lambda(values, 10.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            vm.shadow_grid_index(values, 10.0)
+
+
+class TestBatchedShadowDraws:
+    def test_misses_drawn_once_and_equal_to_their_streams(self):
+        factory = RngFactory(SEED)
+        env = Environment(None, rng=factory)
+        tx = Point(120.4, -33.6)
+        grid_x = np.array([0, 3, -2, 3, 0, 11], dtype=np.int64)
+        grid_y = np.array([5, 5, -7, 5, 5, 0], dtype=np.int64)
+        keys = [f"shadow:120:-34:{gx}:{gy}:3500" for gx, gy in zip(grid_x, grid_y)]
+        want = [float(factory.stream(key).standard_normal()) for key in keys]
+
+        before = rng_streams_drawn()
+        got = env.shadow_standard_normals(tx, 3500.0, grid_x, grid_y)
+        assert rng_streams_drawn() - before == len(set(keys))
+        assert got.tolist() == want
+
+        before = rng_streams_drawn()
+        assert env.shadow_standard_normals(tx, 3500.0, grid_x, grid_y).tolist() == want
+        assert rng_streams_drawn() == before
