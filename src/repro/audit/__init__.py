@@ -14,7 +14,9 @@ Components capture the auditor of :func:`repro.instruments.current` once
 at construction, so the per-call cost with no auditor installed is a
 no-op method on the shared :data:`NULL_AUDITOR`.  Set
 ``REPRO_NO_AUDIT=1`` to keep runner-managed runs on the null path
-entirely.
+entirely.  The runner dumps a failing run's flight recorder into its out
+directory (``repro run --out DIR``; ``--observe audit`` dumps every run),
+where ``repro inspect show|diff`` reads it.
 
 See :mod:`repro.audit.core` for the recording model,
 :mod:`repro.audit.export` for the byte-deterministic JSONL dumps, and

@@ -3,21 +3,20 @@
 Usage:
     python -m repro list [--params]
     python -m repro run fig7 [--seed 7] [--json out.json]
-    python -m repro run tab2 fig3 fig6 --timings
+    python -m repro run tab2 fig3 fig6 --observe timings
     python -m repro run --all --parallel 4
+    python -m repro run fig6 --observe trace,metrics --out runs/fig6
     python -m repro run fig6 --scenario sa-mode
     python -m repro run fig7 --set workload.sim_scale=0.1
     python -m repro sweep fig6 tab4 --set radio.sa_mode=false,true
-    python -m repro inspect show campaign.metrics.jsonl
+    python -m repro inspect show runs/fig6/campaign.metrics.jsonl
     python -m repro paper-index
 
 ``run`` goes through the campaign runner (:mod:`repro.runner`): results
 are cached on disk under ``.repro_cache/`` keyed by (experiment, seed,
 source hash, scenario digest), so repeating an invocation returns
-instantly until the code changes.  ``--no-cache`` bypasses the cache,
-``--parallel N`` fans cache misses out over N worker processes, and
-``--timings`` prints per-run provenance (wall time, simulator events,
-RNG streams, peak RSS).
+instantly until the code changes.  ``--no-cache`` bypasses the cache and
+``--parallel N`` fans cache misses out over N worker processes.
 
 ``--scenario`` selects the deployment to simulate — a preset name
 (``repro.scenario.PRESET_NAMES``; default ``paper-nsa``, the paper's NSA
@@ -26,20 +25,23 @@ applies individual overrides on top.  ``sweep`` cartesian-expands
 ``--set key=v1,v2,...`` axes into a grid and runs the experiment set
 under every point, reporting per-point KPI snapshots.
 
-Observability companions: ``run --metrics PATH`` exports the campaign's
-merged KPI registry (``repro inspect show|export|diff`` reads it and every
-other run artifact), ``run --profile PATH`` wraps each run in cProfile and
-dumps a combined pstats file, and ``repro bench`` records BENCH_<date>.json
-performance trajectory points gated against ``benchmarks/bench-baseline.json``.
+Every ``run`` writes into one directory, ``--out DIR`` (default
+``.repro_audit/``): run heartbeats (``hb-<pid>.json``, read by the
+parallel stall watchdog and ``repro inspect show DIR``), the flight
+recorder of any failing run, and what ``--observe KIND[,KIND...]`` asks
+for: ``trace`` (``trace.jsonl``), ``metrics`` (``campaign.metrics.jsonl``),
+``profile`` (``profile.pstats``), ``audit`` (every run's
+``<experiment>-seed<S>.audit.jsonl``) and ``timings`` (a printed
+provenance table).  Tracing and profiling run in this process, so they
+force a serial, uncached campaign.  ``repro inspect show|diff|export``
+reads every artifact, and ``repro bench`` records BENCH_<date>.json
+performance trajectory points gated against
+``benchmarks/bench-baseline.json``.
 
 Runs execute under the :mod:`repro.audit` runtime-verification layer by
 default: conservation ledgers and invariant probes run alongside the
-simulation, a probe violation fails the run, and the flight recorder of
-a failed run is dumped under ``.repro_audit/`` (override with
-``$REPRO_AUDIT_DIR``) for ``repro inspect show|diff``.  ``--no-audit``
-disables the layer, ``--audit-dump DIR`` dumps every run's flight
-recorder, and ``--stall-timeout N`` arms a heartbeat watchdog that
-reports parallel workers busy longer than N seconds.
+simulation and a probe violation fails the run.  ``REPRO_NO_AUDIT=1`` in
+the environment disables the layer.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ __all__ = ["EXPERIMENTS", "main"]
 
 #: Version tag for the ``--json`` export layout.
 JSON_SCHEMA_VERSION = 1
+
+#: Where ``run`` writes heartbeats, failure dumps and ``--observe`` artifacts.
+DEFAULT_OUT_DIR = ".repro_audit"
+
+#: What ``run --observe`` can record.
+OBSERVE_KINDS = ("trace", "metrics", "profile", "audit", "timings")
 
 
 def _to_jsonable(value: Any) -> Any:
@@ -153,8 +161,7 @@ def _cli_scenario(args: argparse.Namespace) -> Scenario:
 
 def _timings_table(outcomes: list[CampaignOutcome]) -> ResultTable:
     records = campaign_timings(outcomes)
-    # Heartbeats exist only for worker-executed runs under an audit dir;
-    # the column would be all "-" for serial/cached campaigns.
+    # Only runs executed with an out directory carry heartbeat stamps.
     with_heartbeats = any(r.heartbeat_finished_s for r in records)
     columns = ["experiment", "wall (s)", "cached", "events run", "rng streams",
                "peak RSS (MiB)", "RSS growth (MiB)"]
@@ -202,39 +209,40 @@ def _export_json(
     print(f"wrote {path}")
 
 
+def _out_file(out_dir: str, name: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _write_trace(path: str, tracer: trace.Tracer, args: argparse.Namespace) -> None:
     meta = {"experiments": sorted(args.names), "seed": args.seed, "all": args.run_all}
-    if path.endswith(".jsonl"):
-        count = trace.write_jsonl(tracer, path, meta=meta)
-    else:
-        count = trace.write_chrome(tracer, path, meta=meta)
+    count = trace.write_jsonl(tracer, path, meta=meta)
     stats = tracer.stats()
     dropped = f", {stats.dropped} dropped" if stats.dropped else ""
     print(f"wrote trace {path} ({count} record(s){dropped})")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # --observe is comma-separated and repeatable.
+    observe = {kind.strip() for value in args.observe for kind in value.split(",")} - {""}
+    unknown = sorted(observe.difference(OBSERVE_KINDS))
+    if unknown:
+        print(f"unknown --observe kind(s) {', '.join(unknown)}; "
+              f"choose from {', '.join(OBSERVE_KINDS)}", file=sys.stderr)
+        return 2
     try:
         scenario = _cli_scenario(args)
     except (UnknownScenarioError, ScenarioOverrideError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.no_audit:
-        os.environ["REPRO_NO_AUDIT"] = "1"
-    else:
-        # CLI runs always have somewhere to drop a failing run's flight
-        # recorder; library/pytest callers must opt in via the env var.
-        os.environ.setdefault("REPRO_AUDIT_DIR", ".repro_audit")
-        if args.audit_dump is not None:
-            os.environ["REPRO_AUDIT_DUMP"] = args.audit_dump
     non_default = scenario_digest(scenario) != scenario_digest(default_scenario())
     if non_default:
         print(f"scenario: {scenario.describe()}\n")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     overrides: dict[str, Any] = {}
-    if args.trace_path is not None:
+    if "trace" in observe:
         overrides["tracer"] = trace.Tracer()
-    if args.profile_path is not None:
+    if "profile" in observe:
         overrides["profiler"] = ProfileCollector()
     if overrides:
         # The tracer and the profiler live in this process and a cache hit
@@ -267,7 +275,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 run_all=args.run_all,
                 progress=progress,
                 scenario=scenario,
-                stall_timeout_s=args.stall_timeout,
+                out_dir=args.out,
+                dump_all="audit" in observe,
             )
     except UnknownExperimentError as exc:
         print(str(exc), file=sys.stderr)
@@ -277,7 +286,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         if exc.audit_dump_path:
             print(
-                f"inspect with: python -m repro inspect show {exc.audit_dump_path}",
+                f"inspect with: python -m repro inspect show {exc.audit_dump_path} "
+                f"(heartbeats: python -m repro inspect show {args.out})",
                 file=sys.stderr,
             )
         return 1
@@ -289,7 +299,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"(seed={args.seed}) ==")
             _print_result(outcome.name, outcome.result)
             print()
-    if args.timings and outcomes:
+    if "timings" in observe and outcomes:
         total = sum(o.record.wall_time_s for o in outcomes if not o.record.cached)
         print(_timings_table(outcomes).render())
         per_worker = streams_by_worker(o.record for o in outcomes)
@@ -299,18 +309,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             workers = ", ".join(f"pid {pid}: {n}" for pid, n in per_worker.items())
             print(f"rng streams by worker: {workers}")
         print(f"total uncached wall time: {total:.2f}s\n")
-    if args.trace_path is not None:
-        _write_trace(args.trace_path, active.tracer, args)
-    if args.profile_path is not None:
+    if "trace" in observe:
+        _write_trace(_out_file(args.out, "trace.jsonl"), active.tracer, args)
+    if "profile" in observe:
         collector = active.profiler
         if collector.empty:
             print("no profiled runs; nothing written", file=sys.stderr)
         else:
-            collector.dump(args.profile_path)
+            path = _out_file(args.out, "profile.pstats")
+            collector.dump(path)
             print(collector.top_table().render())
-            print(f"wrote profile {args.profile_path} "
-                  f"(load with `python -m pstats {args.profile_path}`)")
-    if args.metrics_path is not None:
+            print(f"wrote profile {path} (load with `python -m pstats {path}`)")
+    if "metrics" in observe:
         snapshot = merged_metrics(outcomes)
         meta: dict[str, Any] = {
             "experiments": sorted(o.name for o in outcomes), "seed": args.seed
@@ -321,8 +331,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             meta["scenario"] = {
                 "name": scenario.name, "digest": scenario_digest(scenario)
             }
-        count = write_jsonl(snapshot, args.metrics_path, meta=meta)
-        print(f"wrote metrics {args.metrics_path} ({count} metric(s))")
+        path = _out_file(args.out, "campaign.metrics.jsonl")
+        count = write_jsonl(snapshot, path, meta=meta)
+        print(f"wrote metrics {path} ({count} metric(s))")
     if args.json_path is not None:
         _export_json(args.json_path, outcomes, args.seed, scenario)
     return 0
@@ -429,31 +440,15 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--cache-dir", default=None, metavar="PATH",
                             help="result cache location (default: .repro_cache, "
                                  "or $REPRO_CACHE_DIR)")
-    run_parser.add_argument("--timings", action="store_true",
-                            help="print per-experiment instrumentation records")
-    run_parser.add_argument("--trace", dest="trace_path", default=None, metavar="PATH",
-                            help="record a simulation trace (.jsonl = JSON lines, "
-                                 "anything else = Chrome trace_event JSON); forces "
-                                 "serial, uncached execution")
-    run_parser.add_argument("--metrics", dest="metrics_path", default=None,
-                            metavar="PATH",
-                            help="write the campaign's merged KPI registry as "
-                                 "metrics JSONL (inspect with `repro inspect`)")
-    run_parser.add_argument("--profile", dest="profile_path", default=None,
-                            metavar="PATH",
-                            help="profile each run under cProfile and dump a "
-                                 "combined pstats file; forces serial, uncached "
-                                 "execution")
-    run_parser.add_argument("--no-audit", action="store_true",
-                            help="disable the runtime verification layer "
-                                 "(conservation ledgers, invariant probes)")
-    run_parser.add_argument("--audit-dump", default=None, metavar="DIR",
-                            help="dump every run's flight recorder (JSONL) "
-                                 "under DIR, violating or not")
-    run_parser.add_argument("--stall-timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="parallel runs only: warn when a worker's "
-                                 "heartbeat shows one run busy longer than this")
+    run_parser.add_argument("--observe", action="append", default=[],
+                            metavar="KIND[,KIND...]",
+                            help=f"record more into --out: {', '.join(OBSERVE_KINDS)} "
+                                 "(trace and profile force serial, uncached "
+                                 "execution)")
+    run_parser.add_argument("--out", default=DEFAULT_OUT_DIR, metavar="DIR",
+                            help="where runs write heartbeats, failing runs' "
+                                 "flight recorders and --observe artifacts "
+                                 f"(default: {DEFAULT_OUT_DIR})")
     sweep_parser = sub.add_parser(
         "sweep",
         help="run experiments under every point of a scenario parameter grid",

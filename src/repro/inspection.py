@@ -2,11 +2,13 @@
 
 Trace, metrics and audit JSONL files open with a ``{"kind": "header",
 "tool": "repro.<kind>"}`` line, Chrome traces carry ``traceEvents`` and a
-directory holds worker heartbeats, so the kind comes from the artifact.
-``show`` on a directory exits 1 when a run is busy beyond
-``--stall-timeout``; ``diff`` exits 1 when two artifacts differ, so it
-doubles as a determinism gate.  A missing, empty, truncated or unknown
-artifact fails with a one-line message on stderr and exit code 1.
+directory (``repro run --out DIR``) holds worker heartbeats, so the kind
+comes from the artifact.  ``show`` on a directory exits 1 when a run is
+busy beyond ``--stall-timeout``; ``diff`` exits 1 when two artifacts
+differ, so it doubles as a determinism gate; ``export`` writes a trace as
+Chrome ``trace_event`` JSON, with a JSONL header's campaign meta as its
+``otherData``.  A missing, empty, truncated or unknown artifact fails with
+a one-line message on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any
 from repro.audit import analysis as audit_analysis
 from repro.audit.export import load_audit
 from repro.metrics import export as metrics_export
-from repro.runner.worker import scan_stalls
+from repro.runner.worker import STALL_TIMEOUT_S, scan_stalls
 from repro.trace import analysis as trace_analysis
 from repro.trace.export import load_trace, write_chrome
 
@@ -42,8 +44,8 @@ def add_inspect_arguments(parser: argparse.ArgumentParser) -> None:
     show.add_argument("path", help="trace, metrics or audit file, or heartbeat directory")
     show.add_argument("--violations", action="store_true",
                       help="audit dumps: list every violation verbatim")
-    show.add_argument("--stall-timeout", type=float, default=300.0, metavar="SECONDS",
-                      help="heartbeat directories: stalled after this long (default: 300)")
+    show.add_argument("--stall-timeout", type=float, default=STALL_TIMEOUT_S, metavar="SECONDS",
+                      help="heartbeat directories: stalled after this long (default: %(default)g)")
     diff = sub.add_parser("diff", help="compare two artifacts of one kind; exit 1 if they differ")
     diff.add_argument("path_a", help="first artifact")
     diff.add_argument("path_b", help="second artifact")
@@ -56,19 +58,25 @@ def add_inspect_arguments(parser: argparse.ArgumentParser) -> None:
     export.add_argument("output", help="output path")
 
 
-def artifact_kind(path: str) -> str:
-    """``"trace"``, ``"metrics"``, ``"audit"`` or ``"heartbeats"`` (ValueError if none)."""
-    if os.path.isdir(path):
-        return "heartbeats"
+def _sniff(path: str) -> tuple[str, dict[str, Any]]:
+    """The start of ``path``, left-stripped, and its parsed header line ({} if none)."""
     with open(path, encoding="utf-8") as fh:
         head = fh.read(_SNIFF_CHARS).lstrip()
-    if not head:
-        raise ValueError("empty file")
     try:
         header = json.loads(head.partition("\n")[0])
     except json.JSONDecodeError:
         header = None
-    if isinstance(header, dict) and header.get("tool") in _KINDS:
+    return head, header if isinstance(header, dict) else {}
+
+
+def artifact_kind(path: str) -> str:
+    """``"trace"``, ``"metrics"``, ``"audit"`` or ``"heartbeats"`` (ValueError if none)."""
+    if os.path.isdir(path):
+        return "heartbeats"
+    head, header = _sniff(path)
+    if not head:
+        raise ValueError("empty file")
+    if header.get("tool") in _KINDS:
         return _KINDS[header["tool"]]
     if head.startswith("{") and '"traceEvents"' in head:
         return "trace"
@@ -136,7 +144,9 @@ def run_inspect(args: argparse.Namespace) -> int:
             return 1
         return _diff(kind, payload, other, args.tolerance)
     if kind == "trace":
-        print(f"wrote {write_chrome(payload, args.output)} trace event(s) to {args.output}")
+        # The campaign meta of a JSONL header becomes the document's otherData.
+        count = write_chrome(payload, args.output, meta=_sniff(args.path)[1].get("meta"))
+        print(f"wrote {count} trace event(s) to {args.output}")
     elif kind == "metrics":
         count = metrics_export.write_prometheus(payload, args.output)
         print(f"wrote {count} exposition line(s) to {args.output}")

@@ -408,62 +408,67 @@ class HandoffEngine:
                     nr_good_since = None
 
             # Horizontal A3 on the active data leg.
-            leg = "nr" if on_nr else "lte"
-            if neighbor_rsrqs:
-                best_pci = max(neighbor_rsrqs, key=lambda p: neighbor_rsrqs[p])
-                gap = neighbor_rsrqs[best_pci] - serving_rsrq
-                if gap > self.config.hysteresis_db:
-                    if a3_since[leg] is None:
-                        a3_since[leg] = t
-                    elif t - a3_since[leg] >= self.config.time_to_trigger_s:
-                        kind = HandoffKind.NR_TO_NR if on_nr else HandoffKind.LTE_TO_LTE
-                        blocked_until = self._execute(
-                            campaign,
-                            t,
-                            kind,
-                            source_pci=serving_pci,
-                            target_pci=best_pci,
-                            rsrq_before=serving_rsrq,
-                            rsrq_after=serving_rsrqs[serving_col[best_pci]],
-                            triggered_at_s=a3_since[leg],
-                        )
-                        if on_nr:
-                            nr_pci = best_pci
-                        else:
-                            lte_pci = best_pci
-                        a3_since[leg] = None
+            fired = self._a3_step(
+                campaign, t, a3_since, "nr" if on_nr else "lte",
+                HandoffKind.NR_TO_NR if on_nr else HandoffKind.LTE_TO_LTE,
+                serving_pci, serving_rsrq, neighbor_rsrqs, serving_rsrqs, serving_col,
+            )
+            if fired is not None:
+                target_pci, blocked_until = fired
+                if on_nr:
+                    nr_pci = target_pci
                 else:
-                    a3_since[leg] = None
+                    lte_pci = target_pci
 
             # The 4G anchor keeps its own A3 mobility even while the data
             # plane rides NR (NSA dual connectivity).
             if on_nr:
                 order, neighbors = lte_reports[lte_col[lte_pci]]
                 anchor_report = measured(lte_rsrq_matrix[i][order])
-                anchor_rsrq = anchor_report[0]
-                anchor_neighbors = dict(zip(neighbors, anchor_report[1:]))
-                if anchor_neighbors:
-                    best_anchor = max(anchor_neighbors, key=lambda p: anchor_neighbors[p])
-                    if anchor_neighbors[best_anchor] - anchor_rsrq > self.config.hysteresis_db:
-                        if a3_since["lte"] is None:
-                            a3_since["lte"] = t
-                        elif t - a3_since["lte"] >= self.config.time_to_trigger_s:
-                            blocked_until = self._execute(
-                                campaign,
-                                t,
-                                HandoffKind.LTE_TO_LTE,
-                                source_pci=lte_pci,
-                                target_pci=best_anchor,
-                                rsrq_before=anchor_rsrq,
-                                rsrq_after=lte_rsrqs[lte_col[best_anchor]],
-                                triggered_at_s=a3_since["lte"],
-                            )
-                            lte_pci = best_anchor
-                            a3_since["lte"] = None
-                    else:
-                        a3_since["lte"] = None
+                fired = self._a3_step(
+                    campaign, t, a3_since, "lte", HandoffKind.LTE_TO_LTE, lte_pci,
+                    anchor_report[0], dict(zip(neighbors, anchor_report[1:])),
+                    lte_rsrqs, lte_col,
+                )
+                if fired is not None:
+                    lte_pci, blocked_until = fired
 
         return campaign
+
+    def _a3_step(
+        self, campaign: HandoffCampaign, t: float, a3_since: dict[str, float | None],
+        leg: str, kind: str, source_pci: int, source_rsrq: float,
+        neighbor_rsrqs: dict[int, float], target_rsrqs: list[float], target_col: dict[int, int],
+    ) -> tuple[int, float] | None:
+        """One A3 evaluation (Eq. 1) on ``leg``.
+
+        The best reported neighbour must beat ``source_rsrq`` by the
+        hysteresis continuously for the time-to-trigger; ``a3_since[leg]``
+        holds when that entry condition first held.  Returns
+        ``(target_pci, busy_until)`` when the hand-off fires, else None.
+        """
+        if not neighbor_rsrqs:
+            return None
+        best_pci = max(neighbor_rsrqs, key=lambda p: neighbor_rsrqs[p])
+        if neighbor_rsrqs[best_pci] - source_rsrq > self.config.hysteresis_db:
+            if a3_since[leg] is None:
+                a3_since[leg] = t
+            elif t - a3_since[leg] >= self.config.time_to_trigger_s:
+                busy_until = self._execute(
+                    campaign,
+                    t,
+                    kind,
+                    source_pci=source_pci,
+                    target_pci=best_pci,
+                    rsrq_before=source_rsrq,
+                    rsrq_after=target_rsrqs[target_col[best_pci]],
+                    triggered_at_s=a3_since[leg],
+                )
+                a3_since[leg] = None
+                return best_pci, busy_until
+        else:
+            a3_since[leg] = None
+        return None
 
     def _nr_usable(self, nr_rsrps: dict[int, float]) -> bool:
         return max(nr_rsrps.values()) >= MIN_SERVICE_RSRP_DBM

@@ -10,13 +10,16 @@ campaign as a first-class subsystem:
 * :mod:`repro.runner.instrument` — per-run provenance: wall time,
   simulator event counters, RNG streams drawn, peak RSS.
 * :mod:`repro.runner.worker` — the picklable per-experiment entry point
-  executed inside pool workers.
+  executed inside pool workers, and its heartbeat files.
 * :mod:`repro.runner.campaign` — the orchestrator fanning experiments out
-  across a :class:`concurrent.futures.ProcessPoolExecutor`.
+  across a :class:`concurrent.futures.ProcessPoolExecutor`.  Its
+  ``out_dir`` argument (``repro run --out DIR``) is where heartbeats and
+  flight-recorder dumps go; the parallel stall watchdog reads it.
 * :mod:`repro.runner.sweep` — scenario sweeps: the same experiment set
   run under every point of a parameter grid, with per-point metrics.
 * :mod:`repro.runner.profiling` — cProfile collection for
-  ``repro run --profile`` (per-run top-N plus a combined pstats dump).
+  ``repro run --observe profile`` (per-run top-N plus a combined pstats
+  dump).
 * :mod:`repro.runner.bench` — ``repro bench``: BENCH_<date>.json
   trajectory points and the wall-time/KPI regression gate.
 """

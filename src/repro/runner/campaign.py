@@ -10,7 +10,6 @@ caller's request order regardless of completion order.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -23,7 +22,7 @@ from repro.experiments.registry import resolve_names
 from repro.metrics.core import merge_snapshots
 from repro.runner.cache import ResultCache
 from repro.runner.instrument import RunRecord
-from repro.runner.worker import AUDIT_DIR_ENV, execute_experiment, scan_stalls, warm_worker
+from repro.runner.worker import STALL_TIMEOUT_S, execute_experiment, scan_stalls, warm_worker
 from repro.scenario import Scenario, resolve_scenario, scenario_digest
 
 __all__ = ["CampaignOutcome", "campaign_timings", "merged_metrics", "run_campaign"]
@@ -49,7 +48,8 @@ def run_campaign(
     run_all: bool = False,
     progress: Callable[[CampaignOutcome], None] | None = None,
     scenario: Scenario | str | None = None,
-    stall_timeout_s: float | None = None,
+    out_dir: str | None = None,
+    dump_all: bool = False,
 ) -> list[CampaignOutcome]:
     """Run a set of catalogue experiments and return outcomes in request order.
 
@@ -65,11 +65,11 @@ def run_campaign(
         scenario: deployment to run under — anything
             :func:`repro.scenario.resolve_scenario` accepts.  Resolved
             once here; workers receive the concrete value.
-        stall_timeout_s: parallel campaigns only — a run busy longer
-            than this (per the worker heartbeats under
-            ``$REPRO_AUDIT_DIR``) is reported on stderr as a suspected
-            hang.  None (or no heartbeat directory) disables the
-            watchdog.  Advisory: nothing is killed.
+        out_dir, dump_all: heartbeat and flight-recorder directory, see
+            :func:`repro.runner.worker.execute_experiment`.  With an
+            ``out_dir``, a parallel campaign also runs the stall watchdog:
+            a run busy longer than :data:`STALL_TIMEOUT_S` is reported on
+            stderr as a possible hang.  Advisory: nothing is killed.
 
     Raises:
         UnknownExperimentError: for names outside the catalogue.
@@ -81,6 +81,7 @@ def run_campaign(
     scenario = resolve_scenario(scenario)
     digest = scenario_digest(scenario)
     cache_root = str(cache.root) if cache is not None else None
+    run_args = (seed, cache_root, scenario, out_dir, dump_all)
 
     outcomes: dict[str, CampaignOutcome] = {}
 
@@ -92,7 +93,7 @@ def run_campaign(
 
     if parallel <= 1:
         for name in ordered:
-            record_outcome(name, *execute_experiment(name, seed, cache_root, scenario))
+            record_outcome(name, *execute_experiment(name, *run_args))
         return [outcomes[name] for name in ordered]
 
     # Serve warm cache entries from the coordinator; only misses need workers.
@@ -107,37 +108,36 @@ def run_campaign(
                 record_outcome(name, hit.result, hit.record)
 
     if misses:
+        started_mono_s = time.monotonic()
         with ProcessPoolExecutor(
             max_workers=min(parallel, len(misses)),
             initializer=warm_worker,
             initargs=(seed, scenario),
         ) as pool:
-            futures = {
-                pool.submit(execute_experiment, name, seed, cache_root, scenario): name
-                for name in misses
-            }
+            futures = {pool.submit(execute_experiment, name, *run_args): name for name in misses}
             pending = set(futures)
-            heartbeat_dir = os.environ.get(AUDIT_DIR_ENV, "")
-            watchdog = stall_timeout_s is not None and bool(heartbeat_dir)
             reported: set[int] = set()
             while pending:
                 done, pending = wait(
                     pending,
-                    timeout=_WATCHDOG_POLL_S if watchdog else None,
+                    timeout=_WATCHDOG_POLL_S if out_dir else None,
                     return_when=FIRST_COMPLETED,
                 )
-                if watchdog and not done:
-                    for stall in scan_stalls(
-                        heartbeat_dir, time.monotonic(), stall_timeout_s
-                    ):
-                        if stall["pid"] in reported:
+                if out_dir and not done:
+                    now_mono_s = time.monotonic()
+                    for stall in scan_stalls(out_dir, now_mono_s, STALL_TIMEOUT_S):
+                        # Heartbeats left behind by earlier campaigns in the
+                        # same directory are not this campaign's hangs.
+                        if stall["pid"] in reported or (
+                            stall["busy_s"] > now_mono_s - started_mono_s
+                        ):
                             continue
                         reported.add(stall["pid"])
                         print(
                             f"warning: worker pid {stall['pid']} busy "
                             f"{stall['busy_s']:.0f}s on {stall['experiment']!r} "
                             f"(seed {stall['seed']}) — possible hang; see "
-                            f"`repro inspect show {heartbeat_dir}`",
+                            f"`repro inspect show {out_dir}`",
                             file=sys.stderr,
                         )
                 for future in done:

@@ -144,7 +144,12 @@ def _audit_dump(auditor: audit.Auditor, experiment: str, seed: int, directory: s
 
 
 def instrumented_call(
-    experiment: str, seed: int, fn: Callable[[], T], scenario_digest: str = ""
+    experiment: str,
+    seed: int,
+    fn: Callable[[], T],
+    scenario_digest: str = "",
+    out_dir: str | None = None,
+    dump_all: bool = False,
 ) -> tuple[T, RunRecord]:
     """Run ``fn`` and capture a :class:`RunRecord` around it.
 
@@ -160,10 +165,10 @@ def instrumented_call(
     KPIs are exported into the run's metric registry.  A probe violation
     raises :class:`repro.audit.AuditError` (the run *fails*); when the
     run raises — for any reason — the flight recorder is dumped under
-    ``$REPRO_AUDIT_DIR`` (if set) and a failure :class:`RunRecord` plus
-    the dump path are attached to the exception for post-hoc debugging.
-    ``$REPRO_AUDIT_DUMP`` dumps every run, violating or not (the
-    determinism gate in CI).
+    ``out_dir`` (if given) and a failure :class:`RunRecord` plus the dump
+    path are attached to the exception for post-hoc debugging.
+    ``dump_all`` dumps every run there, violating or not (the determinism
+    gate in CI).
     """
     sim_before = sim.global_counters()
     rng_before = rng.streams_drawn()
@@ -233,23 +238,17 @@ def instrumented_call(
                 "audit.run.exception_count", 0.0, experiment=experiment,
                 error=type(exc).__name__,
             )
-            dump_dir = os.environ.get("REPRO_AUDIT_DIR", "")
-            dump_path = (
-                _audit_dump(auditor, experiment, seed, dump_dir) if dump_dir else ""
-            )
+            dump_path = _audit_dump(auditor, experiment, seed, out_dir) if out_dir else ""
             attach_failure(exc, time.perf_counter() - started, dump_path)
         raise
     finally:
         wall = time.perf_counter() - started
     if auditor is not None:
         auditor.checkpoint("run-end")
-        dump_dir = os.environ.get("REPRO_AUDIT_DUMP", "")
-        dump_path = _audit_dump(auditor, experiment, seed, dump_dir) if dump_dir else ""
+        dump_path = ""
+        if out_dir and (dump_all or auditor.violation_count):
+            dump_path = _audit_dump(auditor, experiment, seed, out_dir)
         if auditor.violation_count:
-            if not dump_path:
-                fail_dir = os.environ.get("REPRO_AUDIT_DIR", "")
-                if fail_dir:
-                    dump_path = _audit_dump(auditor, experiment, seed, fail_dir)
             try:
                 auditor.assert_clean(f"{experiment} seed {seed}", dump_path)
             except audit.AuditError as error:

@@ -1,14 +1,14 @@
-"""Campaign profiling: cProfile collection for ``repro run --profile``.
+"""Campaign profiling: cProfile collection for ``repro run --observe profile``.
 
-``repro run --profile PATH`` installs a :class:`ProfileCollector` as the
+``repro run --observe profile`` installs a :class:`ProfileCollector` as the
 ``profiler`` of :func:`repro.instruments.current`; while one is active,
 :func:`repro.runner.instrument.instrumented_call` wraps each experiment
 in its own ``cProfile.Profile``, attaches the run's top-N hot functions
 to the :class:`~repro.runner.instrument.RunRecord` (``profile_top``),
 and feeds the raw profile back here so the CLI can dump one combined
-``pstats`` file for the whole campaign.
+``pstats`` file for the whole campaign (``DIR/profile.pstats``).
 
-Profiling forces a serial, cache-bypassing campaign (like ``--trace``):
+Profiling forces a serial, cache-bypassing campaign (like tracing):
 cProfile state is per-process and a cache hit would profile nothing.
 """
 

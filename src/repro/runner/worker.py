@@ -5,8 +5,8 @@ Everything here must stay picklable/top-level: these functions cross the
 cache, runs the experiment under instrumentation on a miss, stores the
 fresh result, and ships (result, record) back to the coordinator.
 
-When ``$REPRO_AUDIT_DIR`` is set, workers also maintain a *heartbeat
-file* (``hb-<pid>.json``) around each run: start stamp when the run
+Given an out directory (``repro run --out DIR``), a run also keeps a
+*heartbeat file* (``hb-<pid>.json``) there: start stamp when the run
 begins, finish stamp when it ends.  The coordinator's stall watchdog
 (:func:`scan_stalls`, surfaced via ``repro inspect show DIR`` and the
 parallel campaign loop) reads those files to tell a slow campaign from a
@@ -30,10 +30,13 @@ from repro.runner.cache import ResultCache
 from repro.runner.instrument import RunRecord, instrumented_call
 from repro.scenario import Scenario, resolve_scenario, scenario_digest
 
-__all__ = ["ExperimentFailure", "execute_experiment", "scan_stalls", "warm_worker"]
+__all__ = [
+    "STALL_TIMEOUT_S", "ExperimentFailure", "execute_experiment", "scan_stalls", "warm_worker"
+]
 
-#: Environment variable naming the heartbeat/flight-recorder directory.
-AUDIT_DIR_ENV = "REPRO_AUDIT_DIR"
+#: A run whose heartbeat shows it busy longer than this is reported as a
+#: possible hang (parallel campaign watchdog, ``repro inspect show DIR``).
+STALL_TIMEOUT_S = 300.0
 
 
 class ExperimentFailure(RuntimeError):
@@ -135,12 +138,16 @@ def execute_experiment(
     seed: int,
     cache_root: str | None = None,
     scenario: Scenario | None = None,
+    out_dir: str | None = None,
+    dump_all: bool = False,
 ) -> tuple[Any, RunRecord]:
     """Run one catalogue experiment, going through the cache when given.
 
     ``scenario`` must already be a resolved :class:`Scenario` (or None for
     the default): workers receive it pickled from the coordinator, which
-    did the preset/path resolution once up front.
+    did the preset/path resolution once up front.  ``out_dir`` receives
+    this process's heartbeat file and the run's flight recorder when it
+    fails, or always with ``dump_all``; None writes neither.
 
     Raises:
         ExperimentFailure: if the experiment itself raised; the original
@@ -156,11 +163,10 @@ def execute_experiment(
         hit = cache.load(name, seed, scenario_digest=digest)
         if hit is not None:
             return hit.result, hit.record
-    heartbeat_dir = os.environ.get(AUDIT_DIR_ENV, "")
     started_mono_s = time.monotonic()
-    if heartbeat_dir:
+    if out_dir:
         _write_heartbeat(
-            heartbeat_dir,
+            out_dir,
             {
                 "pid": os.getpid(),
                 "experiment": name,
@@ -171,7 +177,7 @@ def execute_experiment(
         )
     try:
         result, record = instrumented_call(
-            name, seed, lambda: spec.run(seed, scenario), scenario_digest=digest
+            name, seed, lambda: spec.run(seed, scenario), digest, out_dir, dump_all
         )
     except Exception as exc:
         raise ExperimentFailure(
@@ -182,9 +188,9 @@ def execute_experiment(
             or getattr(exc, "dump_path", ""),
         ) from exc
     finally:
-        if heartbeat_dir:
+        if out_dir:
             _write_heartbeat(
-                heartbeat_dir,
+                out_dir,
                 {
                     "pid": os.getpid(),
                     "experiment": name,
@@ -193,7 +199,7 @@ def execute_experiment(
                     "finished_mono_s": time.monotonic(),
                 },
             )
-    if heartbeat_dir:
+    if out_dir:
         record = dataclasses.replace(
             record,
             heartbeat_started_s=started_mono_s,

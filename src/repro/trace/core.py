@@ -22,7 +22,7 @@ calls a no-op method on the module-level :data:`NULL_TRACER`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Any, NamedTuple
 
 __all__ = [
@@ -41,8 +41,7 @@ __all__ = [
 DEFAULT_CAPACITY = 1 << 20
 
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """A named interval ``[begin_s, end_s]`` on virtual time."""
 
     name: str
@@ -55,8 +54,7 @@ class SpanRecord:
         return self.end_s - self.begin_s
 
 
-@dataclass(frozen=True)
-class InstantRecord:
+class InstantRecord(NamedTuple):
     """A point event at ``time_s`` on virtual time."""
 
     name: str
@@ -64,13 +62,21 @@ class InstantRecord:
     args: tuple[tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
-class CounterRecord:
+class CounterRecord(NamedTuple):
     """One sample of a named numeric series."""
 
     name: str
     time_s: float
     value: float
+
+
+# The ring stores each record as a plain tuple ``(kind, *fields)`` and
+# :meth:`Tracer.records` rebuilds the NamedTuples.  The cyclic GC stops
+# tracking an exact tuple of atomic values, but never a tuple subclass, so
+# a ring of NamedTuples (a traced fig7 run emits about two million) would
+# be walked by every full collection of the run.
+_SPAN, _INSTANT, _COUNTER = 0, 1, 2
+_RECORD_TYPES = (SpanRecord, InstantRecord, CounterRecord)
 
 
 class TraceStats(NamedTuple):
@@ -85,7 +91,8 @@ class TraceStats(NamedTuple):
 
 def _freeze_args(args: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
     """Sort attributes so record equality and exports are order-independent."""
-    return tuple(sorted(args.items()))
+    # Most hooks pass one attribute; sorting it would only allocate a list.
+    return tuple(sorted(args.items())) if len(args) > 1 else tuple(args.items())
 
 
 class SpanHandle:
@@ -140,9 +147,9 @@ class _SpanContext:
 class Tracer:
     """Collects trace records into a bounded ring buffer.
 
-    The buffer is a plain list used as a ring: O(1) append, O(1) overwrite
-    once full, and the oldest records are evicted first.  All query methods
-    return records in emission order.
+    The buffer is a ``deque`` with ``maxlen``: O(1) append in C, and once
+    full the oldest records are evicted first.  All query methods return
+    records in emission order, as the NamedTuple record types.
     """
 
     enabled = True
@@ -151,8 +158,8 @@ class Tracer:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ring: list[Any] = []
-        self._head = 0  # next overwrite position once the ring is full
+        self._ring: deque[Any] = deque(maxlen=capacity)
+        self._append = self._ring.append
         self._spans_emitted = 0
         self._instants_emitted = 0
         self._counter_samples_emitted = 0
@@ -160,18 +167,10 @@ class Tracer:
         self._counter_totals: dict[str, float] = {}
 
     # ------------------------------------------------------------------ emit
-    def _append(self, record: Any) -> None:
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(record)
-        else:
-            ring[self._head] = record
-            self._head = (self._head + 1) % self.capacity
-
     def complete(self, name: str, begin_s: float, end_s: float, **args: Any) -> None:
         """Record a finished span ``[begin_s, end_s]``."""
         self._spans_emitted += 1
-        self._append(SpanRecord(name, begin_s, end_s, _freeze_args(args)))
+        self._append((_SPAN, name, begin_s, end_s, _freeze_args(args)))
 
     def begin(self, name: str, begin_s: float, **args: Any) -> SpanHandle:
         """Open a span; the caller must ``end()`` the returned handle."""
@@ -190,7 +189,7 @@ class Tracer:
     def instant(self, name: str, time_s: float, **args: Any) -> None:
         """Record a point event."""
         self._instants_emitted += 1
-        self._append(InstantRecord(name, time_s, _freeze_args(args)))
+        self._append((_INSTANT, name, time_s, _freeze_args(args)))
 
     def counter(self, name: str, time_s: float | None, value: float) -> None:
         """Sample a counter series.
@@ -203,7 +202,7 @@ class Tracer:
             self._counter_index[name] = index + 1
             time_s = float(index)
         self._counter_samples_emitted += 1
-        self._append(CounterRecord(name, time_s, float(value)))
+        self._append((_COUNTER, name, time_s, float(value)))
 
     def bump(self, name: str, time_s: float | None, delta: float = 1.0) -> None:
         """Increment a monotone counter by ``delta`` and sample the new total."""
@@ -214,10 +213,7 @@ class Tracer:
     # ----------------------------------------------------------------- query
     def records(self) -> list[Any]:
         """All retained records in emission order (oldest first)."""
-        ring = self._ring
-        if len(ring) < self.capacity:
-            return list(ring)
-        return ring[self._head :] + ring[: self._head]
+        return [_RECORD_TYPES[entry[0]]._make(entry[1:]) for entry in self._ring]
 
     def spans(self, name: str | None = None, prefix: str | None = None) -> list[SpanRecord]:
         """Retained spans, optionally filtered by exact ``name`` or ``prefix``."""
@@ -265,7 +261,6 @@ class Tracer:
     def clear(self) -> None:
         """Drop all retained records and reset emission counts."""
         self._ring.clear()
-        self._head = 0
         self._spans_emitted = 0
         self._instants_emitted = 0
         self._counter_samples_emitted = 0

@@ -367,8 +367,10 @@ class TestLedgersOnRealRuns:
 
     def test_no_audit_env_skips_kpis_and_dumps(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_NO_AUDIT", "1")
-        monkeypatch.setenv("REPRO_AUDIT_DUMP", str(tmp_path))
-        _, record = instrumented_call("fig11", 7, lambda: EXPERIMENTS["fig11"].run(7))
+        _, record = instrumented_call(
+            "fig11", 7, lambda: EXPERIMENTS["fig11"].run(7),
+            out_dir=str(tmp_path), dump_all=True,
+        )
         # fig11 registers no KPIs of its own; with auditing off the
         # record must look exactly like a pre-audit one.
         assert record.metrics is None
@@ -378,11 +380,10 @@ class TestLedgersOnRealRuns:
 class TestFlightRecorderOnFailure:
     def test_injected_leak_fails_run_with_readable_dump(self, monkeypatch, tmp_path, capsys):
         monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
-        monkeypatch.setenv("REPRO_AUDIT_DIR", str(tmp_path))
         monkeypatch.setattr(CoDelQueue, "_fault_leak_every", 50)
         scenario = resolve_scenario("paper-nsa-codel")
         with pytest.raises(ExperimentFailure) as excinfo:
-            execute_experiment("fig11", 7, None, scenario)
+            execute_experiment("fig11", 7, None, scenario, out_dir=str(tmp_path))
         failure = excinfo.value
         assert failure.name == "fig11"
         assert failure.audit_dump_path.endswith("fig11-seed7.audit.jsonl")
@@ -400,13 +401,12 @@ class TestFlightRecorderOnFailure:
 
     def test_instrumented_call_attaches_failure_artifacts(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
-        monkeypatch.setenv("REPRO_AUDIT_DIR", str(tmp_path))
 
         def explode():
             raise ValueError("boom")
 
         with pytest.raises(ValueError) as excinfo:
-            instrumented_call("fig0", 7, explode)
+            instrumented_call("fig0", 7, explode, out_dir=str(tmp_path))
         exc = excinfo.value
         assert exc.audit_dump_path.endswith("fig0-seed7.audit.jsonl")
         assert "ValueError: boom" in exc.run_record.failure_traceback
@@ -431,8 +431,10 @@ class TestParallelIdentity:
         dumps = {}
         for parallel in (1, 2, 3):
             directory = tmp_path / f"p{parallel}"
-            monkeypatch.setenv("REPRO_AUDIT_DUMP", str(directory))
-            run_campaign(names, seed=7, parallel=parallel, cache=None)
+            run_campaign(
+                names, seed=7, parallel=parallel, cache=None,
+                out_dir=str(directory), dump_all=True,
+            )
             dumps[parallel] = {
                 name: (directory / dump_basename(name, 7)).read_bytes()
                 for name in names
@@ -444,9 +446,8 @@ class TestParallelIdentity:
 
 
 class TestHeartbeats:
-    def test_execute_experiment_stamps_heartbeats(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_AUDIT_DIR", str(tmp_path))
-        _, record = execute_experiment("fig13", 7, None)
+    def test_execute_experiment_stamps_heartbeats(self, tmp_path):
+        _, record = execute_experiment("fig13", 7, None, out_dir=str(tmp_path))
         assert 0 < record.heartbeat_started_s <= record.heartbeat_finished_s
         beats = list(tmp_path.glob("hb-*.json"))
         assert len(beats) == 1
@@ -473,6 +474,22 @@ class TestHeartbeats:
         # A fresher run is busy, not stalled.
         assert scan_stalls(str(tmp_path), now, stall_timeout_s=1000.0) == []
         assert scan_stalls(str(tmp_path / "missing"), now, 1.0) == []
+
+    def test_parallel_watchdog_reports_a_possible_hang(self, monkeypatch, tmp_path, capsys):
+        from repro.runner import campaign
+
+        monkeypatch.setattr(campaign, "_WATCHDOG_POLL_S", 0.01)
+        monkeypatch.setattr(campaign, "STALL_TIMEOUT_S", 0.0)
+        # An unfinished heartbeat an earlier campaign left behind is not a
+        # hang of this one.
+        (tmp_path / "hb-1.json").write_text(json.dumps(
+            {"pid": 1, "experiment": "fig7", "seed": 7,
+             "started_mono_s": 0.5, "finished_mono_s": 0.0}
+        ))
+        run_campaign(["fig3", "fig13"], seed=7, parallel=2, out_dir=str(tmp_path))
+        err = capsys.readouterr().err
+        assert "possible hang" in err
+        assert "'fig7'" not in err
 
 
 class TestAuditCli:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -80,8 +81,8 @@ class TestRunCommand:
         assert main(["run", "fig13", "--no-cache"]) == 0
         assert "[cache]" not in capsys.readouterr().out
 
-    def test_timings_table(self, capsys):
-        assert main(["run", "fig13", "--timings"]) == 0
+    def test_timings_table(self, tmp_path, capsys):
+        assert main(["run", "fig13", "--observe", "timings", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Campaign timings" in out
         assert "rng streams" in out
@@ -99,12 +100,17 @@ class TestRunCommand:
 
 
 class TestTraceFlag:
-    # fig23 drives the energy simulator directly (no in-process result
-    # caching), so every traced run actually emits records.
+    """`run --observe trace`; fig23 drives the energy simulator directly (no
+    in-process result caching), so every traced run actually emits records."""
+
+    def _trace(self, out_dir, *extra):
+        assert main(
+            ["run", "fig23", "--observe", "trace", "--out", str(out_dir), *extra]
+        ) == 0
+        return out_dir / "trace.jsonl"
 
     def test_trace_writes_jsonl(self, tmp_path, capsys):
-        trace_file = tmp_path / "fig23.trace.jsonl"
-        assert main(["run", "fig23", "--trace", str(trace_file), "--no-cache"]) == 0
+        trace_file = self._trace(tmp_path, "--no-cache")
         assert "wrote trace" in capsys.readouterr().out
         lines = trace_file.read_text().splitlines()
         header = json.loads(lines[0])
@@ -115,28 +121,22 @@ class TestTraceFlag:
 
     def test_trace_writes_chrome_json(self, tmp_path):
         trace_file = tmp_path / "fig23.trace.json"
-        assert main(["run", "fig23", "--trace", str(trace_file), "--no-cache"]) == 0
+        jsonl = self._trace(tmp_path, "--no-cache")
+        assert main(["inspect", "export", str(jsonl), str(trace_file)]) == 0
         document = json.loads(trace_file.read_text())
         assert isinstance(document["traceEvents"], list)
         assert any(e["ph"] == "X" for e in document["traceEvents"])
         assert document["otherData"]["experiments"] == ["fig23"]
 
     def test_trace_forces_serial(self, tmp_path, capsys):
-        trace_file = tmp_path / "fig23.trace.jsonl"
-        assert main(
-            ["run", "fig23", "--trace", str(trace_file), "--parallel", "4"]
-        ) == 0
+        self._trace(tmp_path, "--parallel", "4")
         assert "ignoring --parallel" in capsys.readouterr().err
 
     def test_traced_run_matches_untraced_export(self, tmp_path):
         plain_file = tmp_path / "plain.json"
         traced_file = tmp_path / "traced.json"
-        trace_file = tmp_path / "t.jsonl"
         assert main(["run", "fig23", "--no-cache", "--json", str(plain_file)]) == 0
-        assert main(
-            ["run", "fig23", "--no-cache", "--json", str(traced_file),
-             "--trace", str(trace_file)]
-        ) == 0
+        self._trace(tmp_path, "--no-cache", "--json", str(traced_file))
         plain = json.loads(plain_file.read_text())["experiments"]["fig23"]["result"]
         traced = json.loads(traced_file.read_text())["experiments"]["fig23"]["result"]
         assert json.dumps(plain, sort_keys=True) == json.dumps(traced, sort_keys=True)
@@ -244,21 +244,23 @@ class TestTraceCommand:
 
 
 class TestRunObservability:
-    """`run --metrics` and `run --profile` end-to-end through the CLI."""
+    """`run --observe KIND --out DIR` end-to-end through the CLI."""
+
+    def _run(self, out_dir, *args):
+        assert main(["run", *args, "--out", str(out_dir)]) == 0
+        return out_dir
 
     def test_metrics_export_serial_vs_parallel_byte_identical(self, tmp_path, capsys):
-        a, b = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        assert main(["run", "fig13", "fig22", "--no-cache", "--metrics", str(a)]) == 0
-        assert main(
-            ["run", "fig13", "fig22", "--no-cache", "--parallel", "2",
-             "--metrics", str(b)]
-        ) == 0
+        a = self._run(tmp_path / "serial", "fig13", "fig22", "--no-cache",
+                      "--observe", "metrics") / "campaign.metrics.jsonl"
+        b = self._run(tmp_path / "parallel", "fig13", "fig22", "--no-cache",
+                      "--parallel", "2", "--observe", "metrics") / "campaign.metrics.jsonl"
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
     def test_metrics_file_round_trips_through_metrics_show(self, tmp_path, capsys):
-        path = tmp_path / "m.jsonl"
-        assert main(["run", "fig13", "--no-cache", "--metrics", str(path)]) == 0
+        path = self._run(tmp_path, "fig13", "--no-cache", "--observe", "metrics")
+        path = path / "campaign.metrics.jsonl"
         capsys.readouterr()
         assert main(["inspect", "show", str(path)]) == 0
         assert "fig13.rtt_gap.mean_ms" in capsys.readouterr().out
@@ -266,29 +268,73 @@ class TestRunObservability:
     def test_metrics_header_carries_campaign_meta(self, tmp_path, capsys):
         import json
 
-        path = tmp_path / "m.jsonl"
-        assert main(
-            ["run", "fig13", "--no-cache", "--seed", "11", "--metrics", str(path)]
-        ) == 0
+        self._run(tmp_path, "fig13", "--no-cache", "--seed", "11", "--observe", "metrics")
         capsys.readouterr()
-        header = json.loads(path.read_text().splitlines()[0])
+        header = json.loads((tmp_path / "campaign.metrics.jsonl").read_text().splitlines()[0])
         assert header["meta"] == {"experiments": ["fig13"], "seed": 11}
 
     def test_profile_writes_pstats_and_prints_hotspots(self, tmp_path, capsys):
         import pstats
 
-        path = tmp_path / "campaign.pstats"
-        assert main(["run", "fig13", "--no-cache", "--profile", str(path)]) == 0
+        path = self._run(tmp_path, "fig13", "--no-cache", "--observe", "profile")
+        path = path / "profile.pstats"
         out = capsys.readouterr().out
         assert "Profile" in out and "cumulative" in out
         assert pstats.Stats(str(path)).total_calls > 0
 
     def test_profile_forces_serial_uncached(self, tmp_path, capsys):
-        path = tmp_path / "campaign.pstats"
-        assert main(
-            ["run", "fig13", "--profile", str(path), "--parallel", "4"]
-        ) == 0
+        self._run(tmp_path, "fig13", "--observe", "profile", "--parallel", "4")
         assert "ignoring --parallel" in capsys.readouterr().err
+
+    def test_audit_dumps_every_run_next_to_heartbeats(self, tmp_path, capsys):
+        from repro.audit import dump_basename, load_audit
+
+        self._run(tmp_path, "fig13", "fig23", "--no-cache", "--observe", "audit")
+        capsys.readouterr()
+        for name in ("fig13", "fig23"):
+            header, _ = load_audit(str(tmp_path / dump_basename(name, 7)))
+            assert header["meta"] == {"experiment": name, "seed": 7}
+        assert len(list(tmp_path.glob("hb-*.json"))) == 1
+        assert main(["inspect", "show", str(tmp_path)]) == 0
+        assert "no stalled workers" in capsys.readouterr().out
+
+    def test_kinds_combine_in_one_directory(self, tmp_path, capsys):
+        self._run(tmp_path, "fig13", "--no-cache", "--observe", "metrics,audit",
+                  "--observe", "timings")
+        assert "Campaign timings" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith("hb-")) == [
+            "campaign.metrics.jsonl", "fig13-seed7.audit.jsonl"
+        ]
+
+    def test_unknown_kind_exits_2_naming_the_kinds(self, tmp_path, capsys):
+        assert main(["run", "fig13", "--observe", "trace,flamegraph",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "flamegraph" in err
+        assert "trace, metrics, profile, audit, timings" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_audit_env_writes_no_audit_artifacts(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("REPRO_NO_AUDIT", "1")
+        self._run(tmp_path, "fig11", "--no-cache", "--observe", "metrics,audit")
+        capsys.readouterr()
+        assert not list(tmp_path.glob("*.audit.jsonl"))
+        assert "audit." not in (tmp_path / "campaign.metrics.jsonl").read_text()
+
+    def test_run_leaves_the_environment_alone(self, monkeypatch, tmp_path, capsys):
+        from repro.runner import execute_experiment
+
+        monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
+        before = dict(os.environ)
+        self._run(tmp_path, "fig13", "--no-cache")
+        capsys.readouterr()
+        assert dict(os.environ) == before
+        # A later library run is audited (no setting leaked from the CLI)
+        # and writes nothing into the CLI's out directory.
+        _, record = execute_experiment("fig11", 7)
+        assert "audit.checks_count" in record.metrics["metrics"]
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 class TestBenchCommand:

@@ -281,6 +281,17 @@ class TestPolicyScopes:
             "    interval: 'float' = 0.1\n",
         ) == [("REP011", 2)]
 
+    def test_wall_clock_in_qdisc_is_one_finding(self, tmp_path):
+        # REP001 bans time.time everywhere; REP011 adds only the clocks
+        # REP001 allows, so the call is reported once.
+        assert self._lint(
+            tmp_path,
+            "import time\n"
+            "def tick(now_s: float) -> float:\n"
+            "    return time.time() - now_s\n",
+            name="qdisc/controller.py",
+        ) == [("REP001", 3)]
+
 
 class TestPragmas:
     def test_named_pragma_suppresses_in_fixture(self):

@@ -31,12 +31,14 @@ class TestTracerRecording:
     def test_complete_records_span_with_sorted_args(self):
         tracer = Tracer()
         tracer.complete("ho.phase:rrc", 1.0, 1.5, kind="5G-5G", step=2)
-        (span,) = tracer.spans()
+        tracer.complete("ho.phase:rrc", 1.0, 1.5, step=2, kind="5G-5G")
+        span, reordered = tracer.spans()
         assert span.name == "ho.phase:rrc"
         assert span.begin_s == 1.0
         assert span.end_s == 1.5
         assert span.duration_s == pytest.approx(0.5)
         assert span.args == (("kind", "5G-5G"), ("step", 2))
+        assert reordered == span
 
     def test_begin_end_handle(self):
         tracer = Tracer()
