@@ -21,10 +21,10 @@ Run with plain ``pytest benchmarks/test_audit_overhead.py -s`` (these
 tests time themselves and do not use the pytest-benchmark fixture).
 """
 
-import heapq
 import pickle
 import statistics
 import time
+from heapq import heappop
 
 from repro import instruments
 from repro.audit import Auditor
@@ -39,24 +39,24 @@ _replica_executed = 0
 def _seed_loop(sim, until=None):
     """Replica of the pre-instrumentation ``Simulator.run`` loop.
 
-    It walks the kernel's ``(time, seq, event)`` heap entries, so the loops
-    differ only in the per-event additions named in the module docstring.
+    It walks the kernel's ``[time, seq, callback, args]`` heap entries, so
+    the loops differ only in the per-event additions named in the module
+    docstring.
     """
     global _replica_executed
     heap = sim._heap
     while heap:
         if until is not None and heap[0][0] > until:
             break
-        etime, _, event = heapq.heappop(heap)
-        if event.cancelled:
+        etime, _, callback, args = heappop(heap)
+        if callback is None:
             sim._dead -= 1
             continue
-        event.sim = None
         sim._pending -= 1
         sim.events_executed += 1
         _replica_executed += 1
         sim.now = etime
-        event.callback(*event.args)
+        callback(*args)
     if until is not None and sim.now < until:
         sim.now = until
 

@@ -45,6 +45,11 @@ FREEZE_THRESHOLD_S = 0.5
 
 FPS = 30.0
 
+#: Packet ``seq`` numbers of frame ``i`` start at ``i * _FRAME_SEQ_SPAN``,
+#: so the receiver reads the frame index back as ``seq // _FRAME_SEQ_SPAN``
+#: (a frame would need 140 MB of 1400-byte packets to overflow its span).
+_FRAME_SEQ_SPAN = 100_000
+
 
 @dataclass(frozen=True)
 class VideoProfile:
@@ -189,7 +194,7 @@ def run_video_session(
     window_start = [0.0]
 
     def on_delivery(packet: Packet) -> None:
-        idx = packet.meta["frame"]
+        idx = packet.seq // _FRAME_SEQ_SPAN
         record, remaining = pending[idx]
         remaining -= 1
         window_bytes[0] += packet.size_bytes
@@ -228,9 +233,8 @@ def run_video_session(
                     flow_id=1,
                     kind=DATA,
                     size_bytes=packet_bytes,
-                    seq=record.index * 100_000 + i,
+                    seq=record.index * _FRAME_SEQ_SPAN + i,
                     created_at=sim.now,
-                    meta={"frame": record.index},
                 )
             )
 

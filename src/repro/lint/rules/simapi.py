@@ -6,10 +6,11 @@ Three misuse patterns around :class:`repro.net.sim.Simulator`:
   runtime and ``schedule_at`` with a negative literal timestamp can
   never be reached; both are compile-time-detectable typos.
 * **discarded timer handles** — ``schedule``/``schedule_at`` return a
-  cancellable :class:`Event`.  For fire-and-forget callbacks discarding
-  it is idiomatic, but timers that *must* be cancellable (timeouts,
-  retransmission/RTO timers) leak a stale timer if the handle is
-  dropped — exactly the bug class behind spurious retransmissions.
+  handle whose ``cancel()`` disarms the scheduled callback.  For
+  fire-and-forget callbacks discarding it is idiomatic, but timers that
+  *must* be cancellable (timeouts, retransmission/RTO timers) leak a
+  stale timer if the handle is dropped — exactly the bug class behind
+  spurious retransmissions.
 * **re-entrant construction** — building a fresh ``Simulator()``
   directly inside an experiment sweep loop mixes per-iteration virtual
   time with loop-carried components built against the previous
@@ -90,8 +91,8 @@ class SimulatorApiRule(Rule):
             yield self.violation(
                 ctx,
                 call,
-                f"discarding the Event handle of a cancellable timer "
-                f"({name}); keep it so the timer can be cancelled when "
+                f"discarding the handle schedule() returns for a cancellable "
+                f"timer ({name}); keep it so the timer can be cancelled when "
                 "the awaited reply arrives",
             )
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro import instruments
 from repro.metrics.core import fold_metric_name
 from repro.net.packet import Packet
-from repro.net.sim import Event, Key, Simulator
+from repro.net.sim import Entry, Key, Simulator
 from repro.qdisc.droptail import DropTailQueue
 
 if TYPE_CHECKING:
@@ -182,9 +182,12 @@ class Link:
         self._in_transit = 0
         self._in_transit_bytes = 0
         # The packet on the wire: its serializer key while no event holds
-        # it, and its delivery (arrival, packet, provisional event).
+        # it, and its delivery (arrival, packet, provisional heap entry).
         self._claim: Key | None = None
-        self._delivery: tuple[float, Packet, Event | None] | None = None
+        self._delivery: tuple[float, Packet, Entry | None] | None = None
+        # Bound once: every transmission passes both to push_held().
+        self._deliver_cb = self._deliver
+        self._on_tie_cb = self._on_tie
         # Like Simulator: with no tracer installed this is the null
         # tracer and the depth counters compile down to one bool check.
         active = instruments.current()
@@ -230,8 +233,15 @@ class Link:
         """Offer a packet to this hop; drops silently on overflow."""
         if self.sink is None:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
-        if self._claim is not None:
-            self._settle()
+        key = self._claim
+        if key is not None:
+            # _settle(), inlined: nearly every packet settles the previous one's key.
+            self._claim = None
+            if self.sim.reached(key):
+                self._busy = False
+                self.queue.dequeue(key[0])
+            else:
+                self.sim.push(key, self._serialized)
         if not self.queue.enqueue(packet, self.sim.now):
             self.dropped_packets.append(packet.packet_id)
             return
@@ -302,16 +312,16 @@ class Link:
             arrival = fifo
         self._last_delivery_at = arrival
         # At the float schedule_at(arrival) gives at the serialization end.
-        event = sim.push_held(key, end + (arrival - end), self._on_tie, self._deliver, packet)
-        self._delivery = (arrival, packet, event)
-        if event is None or queue.occupancy_bytes:
+        entry = sim.push_held(key, end + (arrival - end), self._on_tie_cb, self._deliver_cb, packet)
+        self._delivery = (arrival, packet, entry)
+        if entry is None or queue.occupancy_bytes:
             sim.push(key, self._serialized)
         else:
             self._claim = key
 
     def _serialized(self) -> None:
-        arrival, packet, event = self._delivery
-        if event is None:
+        arrival, packet, entry = self._delivery
+        if entry is None:
             self.sim.schedule_at(arrival, self._deliver, packet)
         if self._paused:
             self._busy = False

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any
 
 __all__ = ["Packet", "DATA", "ACK", "PROBE"]
 
@@ -24,10 +23,21 @@ class Packet:
         size_bytes: Wire size including headers.
         seq: Transport sequence number (byte offset of first payload byte).
         created_at: Simulation time the packet entered the network.
-        meta: Free-form per-protocol fields (ack numbers, timestamps...).
+
+    Per-protocol fields are slots with a default, keyword-only in the
+    constructor.  A data segment carries ``payload`` (bytes),
+    ``ts`` (send time) and ``retx`` (retransmission); an ACK carries
+    ``ack`` (cumulative), ``ts_echo`` and ``retx_echo`` (the acked
+    segment's ``ts`` and ``retx``), ``sacked`` (out-of-order bytes held
+    by the receiver) and ``holes`` (missing ``(start, end)`` ranges).
+    ``host_id`` is CAKE's host for its per-host isolation (``None``:
+    one host per flow).
     """
 
-    __slots__ = ("packet_id", "flow_id", "kind", "size_bytes", "seq", "created_at", "meta")
+    __slots__ = (
+        "packet_id", "flow_id", "kind", "size_bytes", "seq", "created_at",
+        "payload", "ts", "retx", "ack", "ts_echo", "retx_echo", "sacked", "holes", "host_id",
+    )
 
     def __init__(
         self,
@@ -36,7 +46,16 @@ class Packet:
         size_bytes: int,
         seq: int = 0,
         created_at: float = 0.0,
-        meta: dict[str, Any] | None = None,
+        *,
+        payload: int = 0,
+        ts: float | None = None,
+        retx: bool = False,
+        ack: int = 0,
+        ts_echo: float | None = None,
+        retx_echo: bool = False,
+        sacked: int = 0,
+        holes: tuple[tuple[int, int], ...] = (),
+        host_id: int | None = None,
     ) -> None:
         if size_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {size_bytes}")
@@ -46,7 +65,15 @@ class Packet:
         self.size_bytes = size_bytes
         self.seq = seq
         self.created_at = created_at
-        self.meta = meta if meta is not None else {}
+        self.payload = payload
+        self.ts = ts
+        self.retx = retx
+        self.ack = ack
+        self.ts_echo = ts_echo
+        self.retx_echo = retx_echo
+        self.sacked = sacked
+        self.holes = holes
+        self.host_id = host_id
 
     def __repr__(self) -> str:
         return (

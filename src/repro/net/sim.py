@@ -3,14 +3,19 @@
 Every network and transport component schedules callbacks on one shared
 :class:`Simulator`.  The design favours raw event throughput — packet-level
 TCP at hundreds of megabits produces millions of events per simulated
-minute — so the heap holds ``(time, seq, event)`` tuples rather than
-process objects.  ``seq`` is unique, so every sift compares a float and
-an int in C and never reaches the :class:`Event`, which carries only the
-callback and a cancellation flag.  Cancellation is lazy: a cancelled
-entry stays in the heap until it is popped, unless cancelled entries come
-to dominate the heap and it is rebuilt without them.  Pop order depends
-only on the ``(time, seq)`` keys, so the rebuild never changes the
-schedule.
+minute — so the heap holds plain ``[time, seq, callback, args]`` lists
+rather than process or event objects.  ``seq`` is unique, so every sift
+compares a float and an int in C and never reaches the callback.
+:meth:`Simulator.cancel` disarms an entry in place by clearing its
+callback; the entry stays in the heap until it is popped, unless
+cancelled entries come to dominate the heap and it is rebuilt without
+them.  Pop order depends only on the ``(time, seq)`` keys, so the rebuild
+never changes the schedule.  An entry that has fired is recognised by
+its key (:meth:`Simulator.reached`), so a late, a repeated or a
+post-rebuild cancel leaves the counters alone.  :meth:`Simulator.push`
+and :meth:`Simulator.push_held` return the entry itself, for owners on
+the packet path that keep it; :meth:`Simulator.schedule` wraps it in an
+:class:`Event` handle whose ``cancel()`` is ``Simulator.cancel``.
 
 **Claimed keys.**  An event's ``(time, seq)`` key fixes where it runs,
 and ``seq`` is handed out in scheduling order, so among events at one
@@ -51,16 +56,20 @@ simulators.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable
+from heapq import heapify, heappop, heappush
 from typing import Any, NamedTuple
 
 from repro import instruments
 
-__all__ = ["Event", "Key", "SimCounters", "Simulator", "global_counters"]
+__all__ = ["Entry", "Event", "Key", "SimCounters", "Simulator", "global_counters"]
 
 #: An event's place in the schedule: ``(time, seq)``.
 Key = tuple[float, int]
+
+#: A heap entry, ``[time, seq, callback, args]``; a cancelled entry's
+#: callback is ``None``.
+Entry = list[Any]
 
 #: Scheduling slightly in the past happens when callers compute an absolute
 #: timestamp as ``now + dt`` and float rounding pushes the reconstructed
@@ -98,33 +107,27 @@ def global_counters() -> SimCounters:
 
 
 class Event:
-    """A scheduled callback; cancel with :meth:`cancel`.
+    """The handle :meth:`Simulator.schedule` returns; cancel with :meth:`cancel`.
 
-    Its time and sequence number live only in the heap entry that holds it.
+    It only points at the heap entry, which holds the time, ``seq``,
+    callback and arguments; :meth:`cancel` is :meth:`Simulator.cancel`
+    of that entry.
     """
 
-    __slots__ = ("callback", "args", "cancelled", "sim")
+    __slots__ = ("_sim", "_entry")
 
-    def __init__(self, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.sim: "Simulator | None" = None
+    def __init__(self, sim: Simulator, entry: Entry) -> None:
+        self._sim = sim
+        self._entry = entry
 
     def cancel(self) -> None:
         """Prevent the callback from firing (O(1) amortised; removal is lazy)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self.sim
-        if sim is not None:
-            global _total_cancelled
-            sim._pending -= 1
-            sim.events_cancelled += 1
-            _total_cancelled += 1
-            sim._dead += 1
-            if sim._dead > COMPACT_MIN_CANCELLED and 2 * sim._dead > len(sim._heap):
-                sim._compact()
+        self._sim.cancel(self._entry)
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` disarmed the entry before it fired."""
+        return self._entry[2] is None
 
 
 class Simulator:
@@ -141,7 +144,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Entry] = []
         self._seq = 0
         self._pending = 0
         self._dead = 0  # cancelled entries still in the heap
@@ -151,8 +154,8 @@ class Simulator:
         # seq of the event being dispatched; between runs, every seq
         # claimed so far (all of them at or before ``now`` have run).
         self._cursor = 0
-        # Held instants: time -> (anchor key, event, on_tie), see push_held().
-        self._holds: dict[float, tuple[Key, Event, Callable[[], None]]] = {}
+        # Held instants: time -> (anchor key, entry, on_tie), see push_held().
+        self._holds: dict[float, tuple[Key, Entry, Callable[[], None]]] = {}
         self._holds_limit = HOLDS_SWEEP_MIN
         # Captured once at construction: with nothing installed these are
         # the null tracer and auditor, whose hooks run() never calls.
@@ -161,21 +164,23 @@ class Simulator:
         self.auditor = active.auditor
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Returns the :class:`Event` handle that cancels it.
+        """
         if not delay >= 0.0:  # also rejects NaN, which would poison ``now``
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         global _total_scheduled
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         time = self.now + delay
         if time in self._holds:
             self._break_hold(time)
-        event = Event(callback, args)
-        event.sim = self
-        heapq.heappush(self._heap, (time, self._seq, event))
+        entry = [time, seq, callback, args]
+        heappush(self._heap, entry)
         self._pending += 1
         self.events_scheduled += 1
         _total_scheduled += 1
-        return event
+        return Event(self, entry)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``.
@@ -198,26 +203,48 @@ class Simulator:
         """
         if not delay >= 0.0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         time = self.now + delay
         if time in self._holds:
             self._break_hold(time)
-        return (time, self._seq)
+        return (time, seq)
 
-    def push(self, key: Key, callback: Callable[..., None], *args: Any) -> Event:
+    def push(self, key: Key, callback: Callable[..., None], *args: Any) -> Entry:
         """Push ``callback(*args)`` under a key claimed earlier.
 
         The key must not have been :meth:`reached` yet; it then fires
         exactly where an event scheduled at claim time would have.
+        Returns the heap entry, for :meth:`cancel`.
         """
         global _total_scheduled
-        event = Event(callback, args)
-        event.sim = self
-        heapq.heappush(self._heap, (key[0], key[1], event))
+        entry = [key[0], key[1], callback, args]
+        heappush(self._heap, entry)
         self._pending += 1
         self.events_scheduled += 1
         _total_scheduled += 1
-        return event
+        return entry
+
+    def cancel(self, entry: Entry) -> None:
+        """Disarm a pending entry so its callback never runs.
+
+        O(1) amortised: the entry stays in the heap, callback cleared,
+        until it is popped or the heap is rebuilt without it.  Cancelling
+        an entry again, or one that has fired (its key is
+        :meth:`reached`), does nothing.
+        """
+        if entry[2] is None:
+            return
+        time = entry[0]
+        if time < self.now or (time == self.now and entry[1] <= self._cursor):
+            return  # fired (or firing): the schedule is past it
+        global _total_cancelled
+        entry[2] = None
+        self._pending -= 1
+        self.events_cancelled += 1
+        _total_cancelled += 1
+        self._dead += 1
+        if self._dead > COMPACT_MIN_CANCELLED and 2 * self._dead > len(self._heap):
+            self._compact()
 
     def reached(self, key: Key) -> bool:
         """Whether ``key`` lies at or before the event being dispatched.
@@ -236,7 +263,7 @@ class Simulator:
         on_tie: Callable[[], None],
         callback: Callable[..., None],
         *args: Any,
-    ) -> Event | None:
+    ) -> Entry | None:
         """Push ``callback(*args)`` at ``time`` for the event at ``anchor``.
 
         Stands in for ``schedule_at`` called first thing when the event
@@ -247,13 +274,13 @@ class Simulator:
         of that instant in the meantime would sort before the real key
         but after the provisional one, so it cancels the event and calls
         ``on_tie()``: the owner must then push the anchor event and
-        schedule ``callback`` from it.  Returns ``None``, and holds
-        nothing, when another held event already ties at ``time``: the
-        two provisional keys could sort in either order, so both owners
-        fall back to their anchors.
+        schedule ``callback`` from it.  Returns the heap entry, or
+        ``None``, holding nothing, when another held event already ties
+        at ``time``: the two provisional keys could sort in either order,
+        so both owners fall back to their anchors.
         """
         global _total_scheduled
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         holds = self._holds
         if time in holds:
             if self._break_hold(time):
@@ -261,16 +288,15 @@ class Simulator:
         elif len(holds) >= self._holds_limit:
             holds = self._drop_reached_holds()
         # push(), inlined: this runs once per packet per hop.
-        event = Event(callback, args)
-        event.sim = self
-        heapq.heappush(self._heap, (time, self._seq, event))
+        entry = [time, seq, callback, args]
+        heappush(self._heap, entry)
         self._pending += 1
         self.events_scheduled += 1
         _total_scheduled += 1
-        holds[time] = (anchor, event, on_tie)
-        return event
+        holds[time] = (anchor, entry, on_tie)
+        return entry
 
-    def _drop_reached_holds(self) -> dict[float, tuple[Key, Event, Callable[[], None]]]:
+    def _drop_reached_holds(self) -> dict[float, tuple[Key, Entry, Callable[[], None]]]:
         """Forget every hold whose anchor has been reached, in one sweep.
 
         An owner holds one instant per anchor, and once the anchor is
@@ -284,10 +310,10 @@ class Simulator:
 
     def _break_hold(self, time: float) -> bool:
         """Something claimed a held instant: hand the event back if live."""
-        anchor, event, on_tie = self._holds.pop(time)
+        anchor, entry, on_tie = self._holds.pop(time)
         if self.reached(anchor):
             return False  # the provisional key already sorts right
-        event.cancel()
+        self.cancel(entry)
         on_tie()
         return True
 
@@ -316,12 +342,10 @@ class Simulator:
             while heap:
                 if until is not None and heap[0][0] > until:
                     break
-                etime, seq, event = heapq.heappop(heap)
-                if event.cancelled:
+                etime, seq, callback, args = heappop(heap)
+                if callback is None:
                     self._dead -= 1
                     continue
-                # Detach so a late cancel() on a fired event cannot skew counters.
-                event.sim = None
                 self._pending -= 1
                 executed += 1
                 if etime < now:
@@ -332,11 +356,10 @@ class Simulator:
                     )
                 now = self.now = etime
                 self._cursor = seq
-                event.callback(*event.args)
+                callback(*args)
                 if traced:
                     # __qualname__ keeps the label deterministic; repr() of a
                     # bound method or partial would embed a memory address.
-                    callback = event.callback
                     label = getattr(callback, "__qualname__", None) or type(callback).__name__
                     tracer.complete("sim.dispatch", etime, self.now, callback=label)
                     tracer.counter("sim.queue_depth", self.now, float(self._pending))
@@ -350,8 +373,8 @@ class Simulator:
     def _compact(self) -> None:
         """Drop every cancelled entry from the heap, in place."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
+        heap[:] = [entry for entry in heap if entry[2] is not None]
+        heapify(heap)
         self._dead = 0
 
     def counters(self) -> SimCounters:

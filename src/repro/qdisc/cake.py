@@ -91,10 +91,12 @@ class CakeQueue(Qdisc):
     def _classify(self, packet: Packet) -> tuple[int, int]:
         """(host bucket, flow bucket) — "triple isolate" on flow identity.
 
-        Packets may carry an explicit ``meta["host_id"]``; flows without
-        one fall back to their flow id, i.e. one host per flow.
+        Packets may carry an explicit ``host_id``; flows without one fall
+        back to their flow id, i.e. one host per flow.
         """
-        host_id = packet.meta.get("host_id", packet.flow_id)
+        host_id = packet.host_id
+        if host_id is None:
+            host_id = packet.flow_id
         return flow_hash(host_id, self.hosts_count), flow_hash(packet.flow_id, self.flows_count)
 
     # -- queue mechanics -------------------------------------------------

@@ -35,7 +35,12 @@ from repro.runner.campaign import (
 from repro.runner.instrument import RunRecord, instrumented_call, streams_by_worker
 from repro.runner.profiling import ProfileCollector
 from repro.runner.sweep import SweepPoint, run_sweep
-from repro.runner.worker import ExperimentFailure, execute_experiment, scan_stalls
+from repro.runner.worker import (
+    ExperimentFailure,
+    execute_experiment,
+    prune_finished_heartbeats,
+    scan_stalls,
+)
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -51,6 +56,7 @@ __all__ = [
     "execute_experiment",
     "instrumented_call",
     "merged_metrics",
+    "prune_finished_heartbeats",
     "run_campaign",
     "run_sweep",
     "scan_stalls",

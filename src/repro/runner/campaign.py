@@ -22,7 +22,13 @@ from repro.experiments.registry import resolve_names
 from repro.metrics.core import merge_snapshots
 from repro.runner.cache import ResultCache
 from repro.runner.instrument import RunRecord
-from repro.runner.worker import STALL_TIMEOUT_S, execute_experiment, scan_stalls, warm_worker
+from repro.runner.worker import (
+    STALL_TIMEOUT_S,
+    execute_experiment,
+    prune_finished_heartbeats,
+    scan_stalls,
+    warm_worker,
+)
 from repro.scenario import Scenario, resolve_scenario, scenario_digest
 
 __all__ = ["CampaignOutcome", "campaign_timings", "merged_metrics", "run_campaign"]
@@ -66,10 +72,12 @@ def run_campaign(
             :func:`repro.scenario.resolve_scenario` accepts.  Resolved
             once here; workers receive the concrete value.
         out_dir, dump_all: heartbeat and flight-recorder directory, see
-            :func:`repro.runner.worker.execute_experiment`.  With an
-            ``out_dir``, a parallel campaign also runs the stall watchdog:
-            a run busy longer than :data:`STALL_TIMEOUT_S` is reported on
-            stderr as a possible hang.  Advisory: nothing is killed.
+            :func:`repro.runner.worker.execute_experiment`.  The
+            heartbeats of finished runs already there are deleted first;
+            unfinished ones stay.  With an ``out_dir``, a parallel
+            campaign also runs the stall watchdog: a run busy longer than
+            :data:`STALL_TIMEOUT_S` is reported on stderr as a possible
+            hang.  Advisory: nothing is killed.
 
     Raises:
         UnknownExperimentError: for names outside the catalogue.
@@ -82,6 +90,8 @@ def run_campaign(
     digest = scenario_digest(scenario)
     cache_root = str(cache.root) if cache is not None else None
     run_args = (seed, cache_root, scenario, out_dir, dump_all)
+    if out_dir:
+        prune_finished_heartbeats(out_dir)
 
     outcomes: dict[str, CampaignOutcome] = {}
 

@@ -12,7 +12,9 @@ begins, finish stamp when it ends.  The coordinator's stall watchdog
 parallel campaign loop) reads those files to tell a slow campaign from a
 hung worker.  Stamps are ``time.monotonic()`` — they order events within
 one machine boot, never leave the machine, and are kept out of every
-deterministic artifact.
+deterministic artifact.  A campaign with an out directory first deletes
+the heartbeats of finished runs (:func:`prune_finished_heartbeats`), so
+the directory holds its own runs' files plus any left unfinished.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import time
 import traceback
+from collections.abc import Iterator
 from typing import Any
 
 from repro.experiments import common
@@ -31,7 +34,12 @@ from repro.runner.instrument import RunRecord, instrumented_call
 from repro.scenario import Scenario, resolve_scenario, scenario_digest
 
 __all__ = [
-    "STALL_TIMEOUT_S", "ExperimentFailure", "execute_experiment", "scan_stalls", "warm_worker"
+    "STALL_TIMEOUT_S",
+    "ExperimentFailure",
+    "execute_experiment",
+    "prune_finished_heartbeats",
+    "scan_stalls",
+    "warm_worker",
 ]
 
 #: A run whose heartbeat shows it busy longer than this is reported as a
@@ -91,6 +99,46 @@ def _write_heartbeat(directory: str, payload: dict[str, Any]) -> None:
         pass  # heartbeats are advisory; never fail the run over them
 
 
+def _heartbeats(directory: str) -> Iterator[tuple[str, dict[str, Any]]]:
+    """``(path, payload)`` of every readable heartbeat file, by name.
+
+    Unreadable files (mid-write or stale garbage) are skipped: they are
+    evidence of nothing.
+    """
+    try:
+        entries = sorted(os.listdir(directory))
+    except OSError:
+        return
+    for entry in entries:
+        if not (entry.startswith("hb-") and entry.endswith(".json")):
+            continue
+        path = os.path.join(directory, entry)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                beat = json.load(fh)
+        except (OSError, ValueError):
+            continue
+        if isinstance(beat, dict):
+            yield path, beat
+
+
+def prune_finished_heartbeats(directory: str) -> int:
+    """Delete the heartbeat of every finished run; return how many went.
+
+    Unfinished heartbeats (a run in flight, or a worker killed mid-run)
+    stay for the stall watchdog and ``repro inspect show``.
+    """
+    pruned = 0
+    for path, beat in _heartbeats(directory):
+        if beat.get("finished_mono_s", 0.0):
+            try:
+                os.remove(path)
+            except OSError:
+                continue  # removed concurrently, or not ours to remove
+            pruned += 1
+    return pruned
+
+
 def scan_stalls(
     directory: str, now_mono_s: float, stall_timeout_s: float
 ) -> list[dict[str, Any]]:
@@ -101,18 +149,7 @@ def scan_stalls(
     the watchdog logic is unit-testable without sleeping.
     """
     stalls: list[dict[str, Any]] = []
-    try:
-        entries = sorted(os.listdir(directory))
-    except OSError:
-        return stalls
-    for entry in entries:
-        if not (entry.startswith("hb-") and entry.endswith(".json")):
-            continue
-        try:
-            with open(os.path.join(directory, entry), encoding="utf-8") as fh:
-                beat = json.load(fh)
-        except (OSError, ValueError):
-            continue  # mid-write or stale garbage: not evidence of a stall
+    for _, beat in _heartbeats(directory):
         if beat.get("finished_mono_s", 0.0):
             continue
         busy_s = now_mono_s - beat.get("started_mono_s", now_mono_s)

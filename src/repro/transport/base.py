@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro import instruments
 from repro.net.packet import ACK, DATA, Packet
 from repro.net.path import NetworkPath
-from repro.net.sim import Event, Key, Simulator
+from repro.net.sim import Entry, Event, Key, Simulator
 
 __all__ = ["CongestionControl", "TcpSender", "TcpReceiver", "TcpConnection", "FlowStats"]
 
@@ -34,6 +34,9 @@ class CongestionControl(ABC):
     """Strategy interface for congestion-control algorithms."""
 
     name: str = "abstract"
+    #: Whether :meth:`on_ack` reads ``delivery_rate_bps``.  Only then does
+    #: the sender keep a send log and sample delivery rates.
+    reads_delivery_rate: bool = False
 
     def __init__(self, mss_bytes: int, rate_scale: float = 1.0) -> None:
         if not 0.0 < rate_scale <= 1.0:
@@ -138,25 +141,23 @@ class TcpReceiver:
     def _on_data(self, packet: Packet) -> None:
         if packet.kind != DATA or packet.flow_id != self.flow_id:
             return
-        payload = packet.meta["payload"]
+        payload = packet.payload
         self.bytes_received += payload
         if packet.seq == self.rcv_next:
             self._advance(payload)
         elif packet.seq > self.rcv_next:
             self._buffer(packet.seq, payload)
         ack = Packet(
-            flow_id=self.flow_id,
-            kind=ACK,
-            size_bytes=_ACK_SIZE_BYTES,
-            seq=0,
-            created_at=self.sim.now,
-            meta={
-                "ack": self.rcv_next,
-                "ts_echo": packet.meta.get("ts"),
-                "retx_echo": packet.meta.get("retx", False),
-                "sacked": self._out_of_order_bytes,
-                "holes": self._holes(),
-            },
+            self.flow_id,
+            ACK,
+            _ACK_SIZE_BYTES,
+            0,
+            self.sim.now,
+            ack=self.rcv_next,
+            ts_echo=packet.ts,
+            retx_echo=packet.retx,
+            sacked=self._out_of_order_bytes,
+            holes=self._holes(),
         )
         self.path.send_reverse(ack)
 
@@ -217,6 +218,11 @@ class TcpSender:
     re-pushes itself under the latest key.  A shrinking RTO replaces the
     entry, and disarming cancels it, so the timeout fires at exactly the
     key and instant of the last arm.
+
+    Delivery rates are sampled from a send log only for a congestion
+    controller that reads them (``cc.reads_delivery_rate``); every other
+    controller gets ``delivery_rate_bps=None`` with the same acked bytes,
+    RTT and time.
     """
 
     def __init__(
@@ -248,11 +254,13 @@ class TcpSender:
         self.srtt: float | None = None
         self.rttvar = 0.0
         self.rto_s = 1.0
-        self._rto_event: Event | None = None  # the one live timer entry
-        self._rto_entry: Key | None = None  # the key it was pushed under
+        self._rto_entry: Entry | None = None  # the one live timer entry
         self._rto_key: Key | None = None  # the key of the latest arm
         self._pace_event: Event | None = None
-        self._send_log: dict[int, tuple[float, int]] = {}  # seq -> (time, delivered)
+        # seq -> (time, delivered), for controllers that read delivery rates.
+        self._send_log: dict[int, tuple[float, int]] | None = (
+            {} if cc.reads_delivery_rate else None
+        )
 
         self.stats = FlowStats()
         active = instruments.current()
@@ -308,11 +316,21 @@ class TcpSender:
         return self.next_seq < self.transfer_bytes
 
     def _try_send(self) -> None:
-        pacing = self.cc.pacing_rate_bps
+        cc = self.cc
+        pacing = cc.pacing_rate_bps
         if pacing is not None:
             self._pace(pacing)
             return
-        while self._has_data() and self.in_flight_bytes + self.mss <= self._window_bytes():
+        # Sending changes only next_seq: the window, cum_ack and the SACKed
+        # bytes hold through the loop, so _window_bytes() is read once and
+        # in_flight_bytes is computed inline per segment.
+        window = min(cc.cwnd_bytes, float(self.rwnd_bytes))
+        acked = self.cum_ack + self._sacked_bytes
+        mss = self.mss
+        while self._has_data():
+            in_flight = self.next_seq - acked
+            if (in_flight if in_flight > 0 else 0) + mss > window:
+                return
             self._transmit(self.next_seq, advance=True)
 
     def _pace(self, pacing_rate: float) -> None:
@@ -342,24 +360,21 @@ class TcpSender:
         # sent through the regular path (e.g. after an RTO rollback); Karn's
         # rule then suppresses its RTT sample.
         retx = retx or seq < self.high_water
+        now = self.sim.now
         packet = Packet(
-            flow_id=self.flow_id,
-            kind=DATA,
-            size_bytes=payload + _HEADER_BYTES,
-            seq=seq,
-            created_at=self.sim.now,
-            meta={"payload": payload, "ts": self.sim.now, "retx": retx},
+            self.flow_id, DATA, payload + _HEADER_BYTES, seq, now,
+            payload=payload, ts=now, retx=retx,
         )
         self.stats.packets_sent += 1
         if retx:
             self.stats.retransmissions += 1
-            self._tracer.bump("tcp.retransmissions", self.sim.now)
-        else:
+            self._tracer.bump("tcp.retransmissions", now)
+        elif self._send_log is not None:
             # Delivery-rate bookkeeping counts SACKed bytes as delivered
             # (as real BBR does); otherwise a cumulative-ACK jump after
             # hole repair would attribute seconds of deliveries to one
             # short interval and blow up the bandwidth estimate.
-            self._send_log[seq] = (self.sim.now, self.delivered_bytes + self._sacked_bytes)
+            self._send_log[seq] = (now, self.delivered_bytes + self._sacked_bytes)
         if advance:
             self.next_seq = seq + payload
             self.high_water = max(self.high_water, self.next_seq)
@@ -371,7 +386,7 @@ class TcpSender:
     def _on_ack(self, packet: Packet) -> None:
         if packet.kind != ACK or packet.flow_id != self.flow_id:
             return
-        ack = packet.meta["ack"]
+        ack = packet.ack
         now = self.sim.now
         # Per-ACK hot path: inline comparison, flag only on violation (the
         # simulator's time-monotonicity probe uses the same pattern).  A
@@ -386,7 +401,7 @@ class TcpSender:
                 flow=self.flow_id,
             )
 
-        self._sacked_bytes = packet.meta.get("sacked", 0)
+        self._sacked_bytes = packet.sacked
         if ack > self.cum_ack:
             newly_acked = ack - self.cum_ack
             self.cum_ack = ack
@@ -395,35 +410,35 @@ class TcpSender:
             # Forward progress clears any RTO backoff (RFC 6298 restart).
             if self.srtt is not None:
                 self.rto_s = min(max(self.srtt + 4 * self.rttvar, _MIN_RTO_S), _MAX_RTO_S)
-            self.stats.bytes_acked = self.delivered_bytes
-            self.stats.delivered_trace.append((now, self.delivered_bytes))
+            stats = self.stats
+            stats.bytes_acked = self.delivered_bytes
+            stats.delivered_trace.append((now, self.delivered_bytes))
 
-            rtt, rate = self._rtt_and_rate_sample(packet, ack, now)
-            if rtt is not None:
+            # RTT from the timestamp echo (Karn: none for a retransmission).
+            rtt = None
+            ts_echo = packet.ts_echo
+            if not packet.retx_echo and ts_echo is not None:
+                rtt = now - ts_echo
+                stats.rtt_samples.append((now, rtt))
                 self._update_rto(rtt)
+            rate = None if self._send_log is None else self._delivery_rate(ack, now)
             if self.recover_seq is not None:
                 if ack >= self.recover_seq:
                     self.recover_seq = None  # full recovery
                 else:
                     # Partial ACK: the next hole starts exactly here.
                     self._retransmit_hole(ack)
-            if rtt is not None or rate is not None:
-                self.cc.on_ack(
-                    newly_acked,
-                    rtt if rtt is not None else (self.srtt or 0.0),
-                    now,
-                    delivery_rate_bps=rate,
-                )
-            else:
-                self.cc.on_ack(newly_acked, self.srtt or 0.0, now)
-            self.stats.cwnd_trace.append((now, self.cc.cwnd_bytes))
+            cc = self.cc
+            rtt_s = rtt if rtt is not None else (self.srtt or 0.0)
+            cc.on_ack(newly_acked, rtt_s, now, delivery_rate_bps=rate)
+            stats.cwnd_trace.append((now, cc.cwnd_bytes))
             tracer = self._tracer
             if tracer.enabled:  # one branch on the per-ACK hot path
-                tracer.counter("tcp.cwnd_bytes", now, self.cc.cwnd_bytes)
+                tracer.counter("tcp.cwnd_bytes", now, cc.cwnd_bytes)
                 if rtt is not None:
                     tracer.counter("tcp.rtt_ms", now, rtt * 1e3)
             self._arm_rto()
-            if self.done:
+            if self.transfer_bytes is not None and self.cum_ack >= self.transfer_bytes:
                 if self.completed_at is None:
                     self.completed_at = now
                 self._cancel_rto()
@@ -445,7 +460,7 @@ class TcpSender:
         # otherwise linger until an RTO whose backoff has spiralled.
         # Nearly every segment fails the hold-off test, so the walk applies
         # it inline; cum_ack, now and the hold-off stay fixed through it.
-        holes = packet.meta.get("holes", ())
+        holes = packet.holes
         if holes:
             cum_ack = self.cum_ack
             holdoff = self.srtt if self.srtt is not None else self.rto_s
@@ -481,29 +496,23 @@ class TcpSender:
             }
         self._transmit(seq, advance=False, retx=True)
 
-    def _rtt_and_rate_sample(
-        self, packet: Packet, ack: int, now: float
-    ) -> tuple[float | None, float | None]:
-        """RTT from the timestamp echo; delivery rate from the send log."""
-        rtt = None
-        if not packet.meta.get("retx_echo") and packet.meta.get("ts_echo") is not None:
-            rtt = now - packet.meta["ts_echo"]
-            self.stats.rtt_samples.append((now, rtt))
-        rate = None
+    def _delivery_rate(self, ack: int, now: float) -> float | None:
+        """Delivery rate since the last acked segment was sent, from the send log."""
+        send_log = self._send_log
+        assert send_log is not None
         # Find the send record for the last acked segment.
-        record = self._send_log.pop(ack - (ack % self.mss or self.mss), None)
+        record = send_log.pop(ack - (ack % self.mss or self.mss), None)
         # Drop stale records below the cumulative ack to bound memory.
-        if len(self._send_log) > 4096:
-            self._send_log = {
-                seq: rec for seq, rec in self._send_log.items() if seq >= self.cum_ack
-            }
-        if record is not None:
-            sent_at, delivered_at_send = record
-            elapsed = now - sent_at
-            delivered_now = self.delivered_bytes + self._sacked_bytes
-            if elapsed > 0 and delivered_now > delivered_at_send:
-                rate = (delivered_now - delivered_at_send) * 8 / elapsed
-        return rtt, rate
+        if len(send_log) > 4096:
+            self._send_log = {seq: rec for seq, rec in send_log.items() if seq >= self.cum_ack}
+        if record is None:
+            return None
+        sent_at, delivered_at_send = record
+        elapsed = now - sent_at
+        delivered_now = self.delivered_bytes + self._sacked_bytes
+        if elapsed > 0 and delivered_now > delivered_at_send:
+            return (delivered_now - delivered_at_send) * 8 / elapsed
+        return None
 
     # -- retransmission timer --------------------------------------------
 
@@ -517,30 +526,32 @@ class TcpSender:
         self.rto_s = min(max(self.srtt + 4 * self.rttvar, _MIN_RTO_S), _MAX_RTO_S)
 
     def _arm_rto(self) -> None:
-        if self.in_flight_bytes <= 0:
+        if self.next_seq - self.cum_ack - self._sacked_bytes <= 0:  # nothing in flight
             self._cancel_rto()
             return
-        key = self.sim.claim(self.rto_s)
+        sim = self.sim
+        key = sim.claim(self.rto_s)
         self._rto_key = key
-        if self._rto_event is not None:
-            if not key < self._rto_entry:
+        entry = self._rto_entry
+        if entry is not None:
+            # The claim's seq is the newest, so the new key sorts first
+            # only at an earlier instant.
+            if not key[0] < entry[0]:
                 return  # the live entry fires first and re-pushes itself
-            self._rto_event.cancel()
-        self._rto_entry = key
-        self._rto_event = self.sim.push(key, self._rto_fired)
+            sim.cancel(entry)
+        self._rto_entry = sim.push(key, self._rto_fired)
 
     def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        if self._rto_entry is not None:
+            self.sim.cancel(self._rto_entry)
+            self._rto_entry = None
 
     def _rto_fired(self) -> None:
         key = self._rto_key
-        if key != self._rto_entry:  # re-armed since: not due yet
-            self._rto_entry = key
-            self._rto_event = self.sim.push(key, self._rto_fired)
+        if key[1] != self._rto_entry[1]:  # re-armed since: not due yet
+            self._rto_entry = self.sim.push(key, self._rto_fired)
             return
-        self._rto_event = None
+        self._rto_entry = None
         self._on_timeout()
 
     def _on_timeout(self) -> None:

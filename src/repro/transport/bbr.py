@@ -30,6 +30,7 @@ class Bbr(CongestionControl):
     """STARTUP -> DRAIN -> PROBE_BW (+ periodic PROBE_RTT)."""
 
     name = "bbr"
+    reads_delivery_rate = True
 
     def __init__(self, mss_bytes: int, rate_scale: float = 1.0) -> None:
         super().__init__(mss_bytes, rate_scale)

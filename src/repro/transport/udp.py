@@ -53,7 +53,7 @@ class UdpSender:
             size_bytes=self.packet_bytes,
             seq=self._next_seq,
             created_at=self.sim.now,
-            meta={"payload": self.packet_bytes},
+            payload=self.packet_bytes,
         )
         self._next_seq += 1
         self.sent += 1

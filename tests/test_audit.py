@@ -7,6 +7,7 @@ real traffic without paying for the full catalogue workloads.
 """
 
 import json
+import os
 import pickle
 import time
 
@@ -31,14 +32,19 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.metrics.core import MetricRegistry, fold_metric_name
 from repro.net import Packet
 from repro.qdisc import CakeQueue, CoDelQueue, FqCodelQueue
-from repro.runner import ExperimentFailure, execute_experiment, run_campaign, scan_stalls
+from repro.runner import (
+    ExperimentFailure,
+    execute_experiment,
+    prune_finished_heartbeats,
+    run_campaign,
+    scan_stalls,
+)
 from repro.runner.instrument import instrumented_call
 from repro.scenario import resolve_scenario
 
 
 def pkt(size_bytes=1448, flow_id=1, host_id=None):
-    meta = {} if host_id is None else {"host_id": host_id}
-    return Packet(flow_id, "data", size_bytes, meta=meta)
+    return Packet(flow_id, "data", size_bytes, host_id=host_id)
 
 
 class TestAuditorCore:
@@ -474,6 +480,23 @@ class TestHeartbeats:
         # A fresher run is busy, not stalled.
         assert scan_stalls(str(tmp_path), now, stall_timeout_s=1000.0) == []
         assert scan_stalls(str(tmp_path / "missing"), now, 1.0) == []
+
+    def test_a_campaign_prunes_finished_heartbeats(self, tmp_path):
+        # Left by earlier processes: a worker killed mid-run and a file
+        # caught mid-write stay; finished runs' heartbeats go.
+        (tmp_path / "hb-22.json").write_text(json.dumps(
+            {"pid": 22, "experiment": "fig7", "seed": 7,
+             "started_mono_s": 1.0, "finished_mono_s": 0.0}
+        ))
+        (tmp_path / "hb-33.json").write_text("mid-write garbage")
+        run_campaign(["fig3", "fig13"], seed=7, parallel=2, out_dir=str(tmp_path))
+        workers = {p.name for p in tmp_path.glob("hb-*.json")} - {"hb-22.json", "hb-33.json"}
+        assert workers and f"hb-{os.getpid()}.json" not in workers
+        run_campaign(["fig13"], seed=7, out_dir=str(tmp_path))
+        left = sorted(p.name for p in tmp_path.glob("hb-*.json"))
+        assert left == sorted(["hb-22.json", "hb-33.json", f"hb-{os.getpid()}.json"])
+        assert prune_finished_heartbeats(str(tmp_path)) == 1
+        assert prune_finished_heartbeats(str(tmp_path / "missing")) == 0
 
     def test_parallel_watchdog_reports_a_possible_hang(self, monkeypatch, tmp_path, capsys):
         from repro.runner import campaign

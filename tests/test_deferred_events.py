@@ -103,13 +103,20 @@ class ReferenceLink(Link):
 class ReferenceSender(TcpSender):
     """Cancel-and-reschedule RTO: every re-arm leaves a cancelled entry."""
 
+    _rto_timer = None  # the Event handle of the one scheduled timeout
+
     def _arm_rto(self) -> None:
         self._cancel_rto()
         if self.in_flight_bytes > 0:
-            self._rto_event = self.sim.schedule(self.rto_s, self._reference_timeout)
+            self._rto_timer = self.sim.schedule(self.rto_s, self._reference_timeout)
+
+    def _cancel_rto(self) -> None:
+        if self._rto_timer is not None:
+            self._rto_timer.cancel()
+            self._rto_timer = None
 
     def _reference_timeout(self) -> None:
-        self._rto_event = None
+        self._rto_timer = None
         self._on_timeout()
 
 
@@ -431,27 +438,31 @@ class TestClaimedKeys:
 
     def test_a_tie_hands_a_held_event_back(self):
         sim = Simulator()
-        ties = []
+        ties, fired = [], []
         anchor = sim.claim(1.0)
-        held = sim.push_held(anchor, 2.0, lambda: ties.append("tie"), lambda: None)
+        held = sim.push_held(anchor, 2.0, lambda: ties.append("tie"), fired.append, "held")
         assert held is not None
         sim.schedule(0.5, lambda: sim.schedule(1.5, lambda: None))  # claims 2.0 at t=0.5
         sim.run(until=0.6)
-        assert ties == ["tie"] and held.cancelled
+        assert ties == ["tie"] and sim.events_cancelled == 1
+        sim.run()
+        assert fired == []  # the held entry was disarmed, never dispatched
 
     def test_a_claim_after_the_anchor_leaves_the_hold_alone(self):
         sim = Simulator()
-        ties = []
+        ties, fired = [], []
         anchor = sim.claim(1.0)
         sim.push(anchor, lambda: None)
-        held = sim.push_held(anchor, 2.0, lambda: ties.append("tie"), lambda: None)
+        sim.push_held(anchor, 2.0, lambda: ties.append("tie"), fired.append, "held")
         sim.schedule(1.5, lambda: sim.schedule(0.5, lambda: None))
         sim.run()
-        assert ties == [] and not held.cancelled
+        assert ties == [] and fired == ["held"] and sim.events_cancelled == 0
 
     def test_two_held_events_at_one_instant_both_fall_back(self):
         sim = Simulator()
-        ties = []
-        first = sim.push_held(sim.claim(1.0), 2.0, lambda: ties.append(1), lambda: None)
-        second = sim.push_held(sim.claim(1.0), 2.0, lambda: ties.append(2), lambda: None)
-        assert second is None and first.cancelled and ties == [1]
+        ties, fired = [], []
+        sim.push_held(sim.claim(1.0), 2.0, lambda: ties.append(1), fired.append, 1)
+        second = sim.push_held(sim.claim(1.0), 2.0, lambda: ties.append(2), fired.append, 2)
+        assert second is None and ties == [1] and sim.events_cancelled == 1
+        sim.run()
+        assert fired == []

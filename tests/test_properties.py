@@ -157,7 +157,7 @@ class TestCompactingHeapProperties:
             assert fired == expected
             assert sim.counters() == (ref.scheduled, ref.executed, ref.cancelled)
             assert sim.pending_events() == len(ref.live)
-            assert sim._dead == sum(entry[2].cancelled for entry in sim._heap)
+            assert sim._dead == sum(entry[2] is None for entry in sim._heap)
 
     def test_cancel_heavy_heap_is_compacted(self):
         sim = Simulator()
@@ -181,11 +181,9 @@ class TestCompactingHeapProperties:
 
         def push_behind_now():
             # Rewrite a fresh entry's key behind ``now``, bypassing schedule().
-            event = sim.schedule(1.0, fired.append, "behind")
-            heap = sim._heap
-            slot = next(i for i, entry in enumerate(heap) if entry[2] is event)
-            heap[slot] = (sim.now - 0.25, heap[slot][1], event)
-            heapq.heapify(heap)
+            entry = sim.push(sim.claim(1.0), fired.append, "behind")
+            entry[0] = sim.now - 0.25
+            heapq.heapify(sim._heap)
 
         sim.schedule(1.0, push_behind_now)
         sim.schedule(2.0, fired.append, "after")
@@ -293,7 +291,7 @@ class _ReversePath:
         self.handler = handler
 
     def send_reverse(self, packet):
-        self.acks.append(packet.meta)
+        self.acks.append(packet)
 
 
 def _reference_ack(state, seq, payload, limit=16):
@@ -340,11 +338,9 @@ class TestSackScoreboardProperties:
         receiver = TcpReceiver(Simulator(), path, flow_id=1)
         state = {"rcv_next": 0, "ooo": {}}
         for seq, payload in arrivals:
-            path.handler(Packet(1, DATA, payload + 52, seq=seq, meta={"payload": payload}))
-            meta = path.acks[-1]
-            assert (meta["ack"], meta["sacked"], meta["holes"]) == _reference_ack(
-                state, seq, payload
-            )
+            path.handler(Packet(1, DATA, payload + 52, seq=seq, payload=payload))
+            ack = path.acks[-1]
+            assert (ack.ack, ack.sacked, ack.holes) == _reference_ack(state, seq, payload)
 
 
 class TestBbrFilterProperties:

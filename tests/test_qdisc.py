@@ -34,8 +34,7 @@ BUILDERS = {
 
 
 def pkt(size_bytes=1448, flow_id=1, host_id=None):
-    meta = {} if host_id is None else {"host_id": host_id}
-    return Packet(flow_id, "data", size_bytes, meta=meta)
+    return Packet(flow_id, "data", size_bytes, host_id=host_id)
 
 
 @pytest.mark.parametrize("name", QDISC_NAMES)
@@ -205,7 +204,7 @@ class TestCake:
         # Dequeue at the shaper's eligibility times, not back-to-back.
         first = q.dequeue(0.0)
         second = q.dequeue(q.next_ready_s(0.0))
-        hosts = {p.meta["host_id"] for p in (first, second)}
+        hosts = {p.host_id for p in (first, second)}
         assert hosts == {1, 2}
 
     def test_shaper_rate_is_retunable(self):

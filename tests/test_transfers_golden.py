@@ -17,6 +17,12 @@ hand-off outage (``NetworkPath.schedule_access_outage``, the fig12
 pattern) that pauses the radio link mid-serialization and backs its
 RTO off twice.
 
+Two entries pin the application packet paths of Figs. 16-20: one
+uplink 5.7K dynamic-scene ``run_video_session``, whose frame bursts
+queue behind the stall-paused radio link (frames and the throughput
+trace are pinned by count and SHA-256), and one ``measure_plt`` page
+load over BBR.
+
 Regenerate (only for an intended output change) with::
 
     PYTHONPATH=src python -m tests.test_transfers_golden
@@ -31,6 +37,8 @@ from pathlib import Path
 from typing import Any
 
 from repro import instruments
+from repro.apps.video import run_video_session
+from repro.apps.web import WEB_PAGE_CATALOG, measure_plt
 from repro.audit.core import Auditor
 from repro.cli import _to_jsonable
 from repro.core.rng import default_rng
@@ -62,6 +70,10 @@ PEP_TIE_DURATION_S = 0.5
 OUTAGE_AT_S = 0.4
 OUTAGE_S = 0.6
 OUTAGE_DURATION_S = 1.5
+#: Long enough for about a hundred radio scheduling stalls.
+VIDEO_DURATION_S = 3.0
+#: Result fields pinned by count and SHA-256 of their JSON rendering.
+HASHED_FIELDS = ("cwnd_trace", "rtt_samples", "delivered_trace", "frames", "throughput_trace")
 
 
 def _cubic_across_outage(config: PathConfig) -> dict[str, Any]:
@@ -123,12 +135,17 @@ def _transfers() -> dict[str, Callable[[], Any]]:
     runs["udp-droptail"] = lambda: run_udp(
         droptail, 1.1 * baseline_bps, duration_s=DURATION_S, seed=SEED
     )
+    runs["video-5.7k-dynamic"] = lambda: run_video_session(
+        paper.radio.nr, "5.7K", dynamic=True, duration_s=VIDEO_DURATION_S,
+        scale=paper.workload.video_sim_scale, seed=SEED,
+    )
+    runs["plt-search"] = lambda: measure_plt(WEB_PAGE_CATALOG[0], paper.radio.nr, seed=SEED)
     return runs
 
 
 def _pinned(result: Any) -> dict[str, Any]:
     data = _to_jsonable(result)
-    for key in ("cwnd_trace", "rtt_samples", "delivered_trace"):
+    for key in HASHED_FIELDS:
         if key in data:
             rendered = json.dumps(data[key]).encode()
             data[key] = {"count": len(data[key]), "sha256": hashlib.sha256(rendered).hexdigest()}
