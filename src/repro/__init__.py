@@ -9,7 +9,7 @@ Subpackages:
     mobility    walkers, measurement events, NSA/SA hand-off
     net         discrete-event network simulation and path models
     transport   TCP (Reno/Cubic/Vegas/Veno/BBR) and UDP over the simulator
-    apps        web browsing, panoramic video telephony, file transfer
+    apps        web browsing, panoramic video telephony
     energy      RRC/DRX power state machine and energy models
     analysis    buffer estimation, KPI logging, dataset IO
     experiments one module per paper table/figure

@@ -1,6 +1,5 @@
-"""Application layer: web browsing, panoramic video telephony, file transfer."""
+"""Application layer: web browsing and panoramic video telephony."""
 
-from repro.apps.filetransfer import TransferResult, download_file
 from repro.apps.video import (
     VIDEO_PROFILES,
     FrameRecord,
@@ -19,13 +18,11 @@ from repro.apps.web import (
 __all__ = [
     "FrameRecord",
     "PltBreakdown",
-    "TransferResult",
     "VIDEO_PROFILES",
     "VideoProfile",
     "VideoSessionResult",
     "WEB_PAGE_CATALOG",
     "WebPage",
-    "download_file",
     "image_page",
     "measure_plt",
     "run_video_session",

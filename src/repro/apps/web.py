@@ -97,25 +97,22 @@ def measure_plt(
     The transfer size is scaled together with the link rates so the
     download *time* is scale-invariant; caches and cookies are implicitly
     cold because every call builds a fresh connection (the paper clears
-    them before each trial).
+    them before each trial).  The simulation ends at the ACK that
+    completes the download.
+
+    Raises:
+        RuntimeError: if the download is not complete at ``timeout_s``.
     """
     config = PathConfig(profile=profile, scale=scale)
     sim = Simulator()
-    rng = default_rng(seed)
-    path = build_cellular_path(sim, config, rng)
+    path = build_cellular_path(sim, config, default_rng(seed))
     cc = make_cc(algorithm, config.mss_bytes, rate_scale=scale)
     transfer = max(int(page.size_bytes * scale), config.mss_bytes)
     conn = TcpConnection.establish(sim, path, cc, transfer_bytes=transfer)
-    conn.start()
-    sim.run(until=timeout_s)
-    if conn.sender.completed_at is None:
-        raise RuntimeError(
-            f"page download did not complete within {timeout_s}s "
-            f"({conn.sender.cum_ack}/{transfer} bytes)"
-        )
+    completed_s = conn.run_to_completion(timeout_s)
     chains = -(-page.num_objects // _PARALLEL_FETCHES)
     request_overhead = chains * (path.base_rtt_s + _SERVER_THINK_S)
     return PltBreakdown(
-        download_s=conn.sender.completed_at + request_overhead,
+        download_s=completed_s + request_overhead,
         render_s=page.render_time_s,
     )

@@ -402,7 +402,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_paper_index() -> int:
     print("Paper table/figure -> experiment name -> benchmark file")
     for name, spec in EXPERIMENTS.items():
-        bench = f"benchmarks/test_{spec.module.__name__.rsplit('.', 1)[-1]}.py"
+        bench = f"benchmarks/test_{spec.module_name}.py"
         print(f"  {name:<18} {spec.description:<45} {bench}")
     return 0
 

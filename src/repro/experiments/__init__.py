@@ -1,86 +1,27 @@
 """One module per paper table/figure; each exposes ``run(seed=...)``.
 
-The benchmarks in ``benchmarks/`` are thin wrappers that execute these
-and assert the paper's qualitative shape; EXPERIMENTS.md records the
-paper-vs-measured values.
+The catalogue (:mod:`repro.experiments.registry`) names every module and
+imports one only when it runs, so importing this package loads none of
+them; ``from repro.experiments import fig7_throughput`` imports that one
+submodule.  The benchmarks in ``benchmarks/`` are thin wrappers that
+execute these and assert the paper's qualitative shape; EXPERIMENTS.md
+records the paper-vs-measured values.
 """
 
-from repro.experiments import (
-    ablation_buffer_sizing,
-    appendix_tables,
-    ablation_coexistence,
-    ablation_sa_mode,
-    discussion_cpe_dsl,
-    discussion_edge_computing,
-    fig2_coverage_map,
-    fig3_indoor_outdoor,
-    fig4_handoff_rsrq,
-    fig5_rsrq_gap,
-    fig6_handoff_latency,
-    fig7_throughput,
-    fig8_cwnd,
-    fig9_loss_rate,
-    fig10_retransmissions,
-    fig11_bursty_loss,
-    fig12_ho_throughput,
-    fig13_rtt_scatter,
-    fig14_rtt_hops,
-    fig15_rtt_distance,
-    fig16_plt_sites,
-    fig17_plt_images,
-    fig18_video_throughput,
-    fig19_video_fluctuation,
-    fig20_frame_delay,
-    fig21_power_breakdown,
-    fig22_energy_per_bit,
-    fig23_energy_timeline,
-    tab1_physical_info,
-    tab2_rsrp_distribution,
-    tab3_buffer_size,
-    sec34_event_mix,
-    tab4_energy_models,
-)
 from repro.experiments.common import DEFAULT_SEED, Testbed, testbed
-from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, resolve_names
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    ExperimentSpec,
+    UnknownExperimentError,
+    resolve_names,
+)
 
 __all__ = [
     "DEFAULT_SEED",
     "EXPERIMENTS",
     "ExperimentSpec",
     "Testbed",
+    "UnknownExperimentError",
     "resolve_names",
-    "ablation_buffer_sizing",
-    "ablation_coexistence",
-    "appendix_tables",
-    "ablation_sa_mode",
-    "discussion_cpe_dsl",
-    "discussion_edge_computing",
-    "fig10_retransmissions",
-    "fig11_bursty_loss",
-    "fig12_ho_throughput",
-    "fig13_rtt_scatter",
-    "fig14_rtt_hops",
-    "fig15_rtt_distance",
-    "fig16_plt_sites",
-    "fig17_plt_images",
-    "fig18_video_throughput",
-    "fig19_video_fluctuation",
-    "fig20_frame_delay",
-    "fig21_power_breakdown",
-    "fig22_energy_per_bit",
-    "fig23_energy_timeline",
-    "fig2_coverage_map",
-    "fig3_indoor_outdoor",
-    "fig4_handoff_rsrq",
-    "fig5_rsrq_gap",
-    "fig6_handoff_latency",
-    "fig7_throughput",
-    "fig8_cwnd",
-    "fig9_loss_rate",
-    "tab1_physical_info",
-    "tab2_rsrp_distribution",
-    "tab3_buffer_size",
-    "sec34_event_mix",
-    "tab4_energy_models",
     "testbed",
 ]

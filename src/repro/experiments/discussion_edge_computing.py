@@ -120,8 +120,4 @@ def _plt_at_distance(
     cc = make_cc("bbr", config.mss_bytes, rate_scale=scale)
     transfer = max(int(page.size_bytes * scale), config.mss_bytes)
     conn = TcpConnection.establish(sim, path, cc, transfer_bytes=transfer)
-    conn.start()
-    sim.run(until=120.0)
-    if conn.sender.completed_at is None:
-        raise RuntimeError("page download did not complete")
-    return conn.sender.completed_at + page.render_time_s
+    return conn.run_to_completion(timeout_s=120.0) + page.render_time_s

@@ -4,57 +4,23 @@ The CLI (:mod:`repro.cli`), the campaign runner (:mod:`repro.runner`) and
 the benchmark harness all drive experiments through this single registry,
 so adding an experiment here is the only step needed to make it runnable
 everywhere.
+
+Each entry *names* its module instead of importing it: listing the
+catalogue, validating names and reading descriptions import nothing, and
+:attr:`ExperimentSpec.module` imports an experiment's module the first
+time something runs or inspects it.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from types import ModuleType
-from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.scenario import Scenario
-
-from repro.experiments import (
-    ablation_buffer_sizing,
-    ablation_coexistence,
-    ablation_sa_mode,
-    appendix_tables,
-    dense_survey,
-    discussion_cpe_dsl,
-    discussion_edge_computing,
-    fig2_coverage_map,
-    fig3_indoor_outdoor,
-    fig4_handoff_rsrq,
-    fig5_rsrq_gap,
-    fig6_handoff_latency,
-    fig7_throughput,
-    fig8_cwnd,
-    fig9_loss_rate,
-    fig10_retransmissions,
-    fig11_bursty_loss,
-    fig12_ho_throughput,
-    fig13_rtt_scatter,
-    fig14_rtt_hops,
-    fig15_rtt_distance,
-    fig16_plt_sites,
-    fig17_plt_images,
-    fig18_video_throughput,
-    fig19_video_fluctuation,
-    fig20_frame_delay,
-    fig21_power_breakdown,
-    fig22_energy_per_bit,
-    fig23_energy_timeline,
-    remedy_cca_matrix,
-    remedy_comparison,
-    sec34_event_mix,
-    tab1_physical_info,
-    tab2_rsrp_distribution,
-    tab3_buffer_size,
-    tab4_energy_models,
-    world_survey,
-)
 
 __all__ = [
     "EXPERIMENTS",
@@ -66,12 +32,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One catalogue entry."""
+    """One catalogue entry.
+
+    ``module_name`` is the experiment's module within
+    :mod:`repro.experiments` (``"fig7_throughput"``); :attr:`module`
+    imports it.
+    """
 
     name: str
-    module: ModuleType
+    module_name: str
     description: str
     describe: Callable[[Any], str] | None = None
+
+    @property
+    def module(self) -> ModuleType:
+        """The experiment's module, imported on first access."""
+        return importlib.import_module(f"{__package__}.{self.module_name}")
 
     @property
     def default_params(self) -> dict[str, Any]:
@@ -178,73 +154,73 @@ def _describe_remedy(r: Any) -> str:
 
 
 def _catalogue() -> dict[str, ExperimentSpec]:
-    entries: list[tuple[str, ModuleType, str, Callable[[Any], str] | None]] = [
-        ("tab1", tab1_physical_info, "basic physical info of both networks", None),
-        ("tab2", tab2_rsrp_distribution, "RSRP distribution and coverage holes", None),
-        ("fig2", fig2_coverage_map, "campus RSRP map + cell-72 bit-rate contour", None),
-        ("fig3", fig3_indoor_outdoor, "indoor/outdoor bit-rate gap", None),
-        ("fig4", fig4_handoff_rsrq, "RSRQ evolution across one hand-off", _describe_fig4),
-        ("fig5", fig5_rsrq_gap, "RSRQ gain across hand-offs", None),
-        ("fig6", fig6_handoff_latency, "hand-off latency by kind", None),
-        ("fig7", fig7_throughput, "UDP baselines + TCP utilization anomaly", None),
-        ("fig8", fig8_cwnd, "Cubic vs BBR cwnd evolution", _describe_fig8),
-        ("fig9", fig9_loss_rate, "UDP loss vs offered load", None),
-        ("fig10", fig10_retransmissions, "HARQ retransmission depth", None),
-        ("fig11", fig11_bursty_loss, "bursty loss pattern", _describe_fig11),
-        ("tab3", tab3_buffer_size, "in-network buffer estimation", None),
-        ("fig12", fig12_ho_throughput, "TCP throughput drop at hand-off", None),
-        ("fig13", fig13_rtt_scatter, "4G vs 5G RTT over 80 paths", None),
-        ("fig14", fig14_rtt_hops, "per-hop RTT decomposition", None),
-        ("fig15", fig15_rtt_distance, "RTT vs path distance", None),
-        ("fig16", fig16_plt_sites, "PLT by website category", None),
-        ("fig17", fig17_plt_images, "PLT vs image size", None),
-        ("fig18", fig18_video_throughput, "video throughput by resolution", None),
-        ("fig19", fig19_video_fluctuation, "5.7K throughput fluctuation", _describe_fig19),
-        ("fig20", fig20_frame_delay, "4K telephony frame delay", _describe_fig20),
-        ("fig21", fig21_power_breakdown, "power breakdown per app", None),
-        ("fig22", fig22_energy_per_bit, "energy per bit, saturated", None),
-        ("fig23", fig23_energy_timeline, "energy-management showcase", None),
-        ("tab4", tab4_energy_models, "energy of the four power models", None),
-        ("ablation-buffers", ablation_buffer_sizing, "wired buffer sizing vs TCP anomaly", None),
-        ("ablation-sa", ablation_sa_mode, "NSA vs projected SA architecture", None),
+    entries: list[tuple[str, str, str, Callable[[Any], str] | None]] = [
+        ("tab1", "tab1_physical_info", "basic physical info of both networks", None),
+        ("tab2", "tab2_rsrp_distribution", "RSRP distribution and coverage holes", None),
+        ("fig2", "fig2_coverage_map", "campus RSRP map + cell-72 bit-rate contour", None),
+        ("fig3", "fig3_indoor_outdoor", "indoor/outdoor bit-rate gap", None),
+        ("fig4", "fig4_handoff_rsrq", "RSRQ evolution across one hand-off", _describe_fig4),
+        ("fig5", "fig5_rsrq_gap", "RSRQ gain across hand-offs", None),
+        ("fig6", "fig6_handoff_latency", "hand-off latency by kind", None),
+        ("fig7", "fig7_throughput", "UDP baselines + TCP utilization anomaly", None),
+        ("fig8", "fig8_cwnd", "Cubic vs BBR cwnd evolution", _describe_fig8),
+        ("fig9", "fig9_loss_rate", "UDP loss vs offered load", None),
+        ("fig10", "fig10_retransmissions", "HARQ retransmission depth", None),
+        ("fig11", "fig11_bursty_loss", "bursty loss pattern", _describe_fig11),
+        ("tab3", "tab3_buffer_size", "in-network buffer estimation", None),
+        ("fig12", "fig12_ho_throughput", "TCP throughput drop at hand-off", None),
+        ("fig13", "fig13_rtt_scatter", "4G vs 5G RTT over 80 paths", None),
+        ("fig14", "fig14_rtt_hops", "per-hop RTT decomposition", None),
+        ("fig15", "fig15_rtt_distance", "RTT vs path distance", None),
+        ("fig16", "fig16_plt_sites", "PLT by website category", None),
+        ("fig17", "fig17_plt_images", "PLT vs image size", None),
+        ("fig18", "fig18_video_throughput", "video throughput by resolution", None),
+        ("fig19", "fig19_video_fluctuation", "5.7K throughput fluctuation", _describe_fig19),
+        ("fig20", "fig20_frame_delay", "4K telephony frame delay", _describe_fig20),
+        ("fig21", "fig21_power_breakdown", "power breakdown per app", None),
+        ("fig22", "fig22_energy_per_bit", "energy per bit, saturated", None),
+        ("fig23", "fig23_energy_timeline", "energy-management showcase", None),
+        ("tab4", "tab4_energy_models", "energy of the four power models", None),
+        ("ablation-buffers", "ablation_buffer_sizing", "wired buffer sizing vs TCP anomaly", None),
+        ("ablation-sa", "ablation_sa_mode", "NSA vs projected SA architecture", None),
         (
             "ablation-coexistence",
-            ablation_coexistence,
+            "ablation_coexistence",
             "4G/5G flows sharing a wireline path",
             None,
         ),
         (
             "remedy-comparison",
-            remedy_comparison,
+            "remedy_comparison",
             "TCP-anomaly remedies: drop-tail vs CoDel/CAKE/PEP",
             _describe_remedy,
         ),
         (
             "remedy-cca-matrix",
-            remedy_cca_matrix,
+            "remedy_cca_matrix",
             "remedy × congestion-control goodput matrix",
             None,
         ),
-        ("cpe-dsl", discussion_cpe_dsl, "5G fixed wireless vs DSL", None),
-        ("event-mix", sec34_event_mix, "measurement-event mix along a walk", None),
+        ("cpe-dsl", "discussion_cpe_dsl", "5G fixed wireless vs DSL", None),
+        ("event-mix", "sec34_event_mix", "measurement-event mix along a walk", None),
         (
             "dense-survey",
-            dense_survey,
+            "dense_survey",
             "full-campus grid survey on the densified 5G topology",
             None,
         ),
         (
             "world-survey",
-            world_survey,
+            "world_survey",
             "district survey + workload synthesis on a generated topology",
             None,
         ),
-        ("appendix", appendix_tables, "appendix tables 5/6/7", None),
-        ("edge", discussion_edge_computing, "mobile edge computing", None),
+        ("appendix", "appendix_tables", "appendix tables 5/6/7", None),
+        ("edge", "discussion_edge_computing", "mobile edge computing", None),
     ]
     return {
-        name: ExperimentSpec(name=name, module=module, description=description, describe=describe)
-        for name, module, description, describe in entries
+        name: ExperimentSpec(name, module_name, description, describe)
+        for name, module_name, description, describe in entries
     }
 
 

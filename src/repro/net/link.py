@@ -192,6 +192,8 @@ class Link:
         # tracer and the depth counters compile down to one bool check.
         active = instruments.current()
         self._tracer = active.tracer
+        # Named once, not per traced packet.
+        self._depth_counters = (f"link.{name}.depth_pkts", f"link.{name}.depth_bytes")
         self._auditor = active.auditor
         self._audit_idle_name = ""
         if self._auditor.enabled:
@@ -246,12 +248,9 @@ class Link:
             self.dropped_packets.append(packet.packet_id)
             return
         if self._tracer.enabled:
-            self._tracer.counter(
-                f"link.{self.name}.depth_pkts", self.sim.now, float(self.queue.occupancy)
-            )
-            self._tracer.counter(
-                f"link.{self.name}.depth_bytes", self.sim.now, float(self.queue.occupancy_bytes)
-            )
+            depth_pkts, depth_bytes = self._depth_counters
+            self._tracer.counter(depth_pkts, self.sim.now, float(self.queue.occupancy))
+            self._tracer.counter(depth_bytes, self.sim.now, float(self.queue.occupancy_bytes))
         if not self._busy and not self._paused:
             self._transmit_next()
 

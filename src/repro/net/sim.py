@@ -46,6 +46,17 @@ first such claim cancels the follow-up and hands it back to its owner,
 which pushes the anchor event after all and schedules the follow-up from
 it, as the eager schedule did.
 
+**Stopping.**  :meth:`Simulator.stop`, called from a callback, ends
+``run()`` right after that callback's event and leaves ``now`` at its
+time, even under ``until``.  It pushes a sentinel entry under the
+stopping event's own key, which sorts before every entry left in the
+heap; the loop pops it next and its callback raises out of the loop.
+The loop therefore tests nothing per dispatch, and the sentinel is
+neither a scheduled nor an executed event.  The rest of the heap,
+every claimed key and every held instant stay as they are, and the
+cursor stays on the stopping event, so a later ``run()`` resumes
+exactly where an uninterrupted run would have gone on.
+
 Each simulator keeps lightweight event counters (scheduled / executed /
 cancelled, where "scheduled" counts heap pushes), and the module
 aggregates the same counters across every instance in the process so
@@ -104,6 +115,14 @@ _total_cancelled = 0
 def global_counters() -> SimCounters:
     """Snapshot of event counters summed over every simulator in the process."""
     return SimCounters(_total_scheduled, _total_executed, _total_cancelled)
+
+
+class _Stop(Exception):
+    """Raised by the stop sentinel's callback to leave :meth:`Simulator.run`."""
+
+
+def _stop_run() -> None:
+    raise _Stop
 
 
 class Event:
@@ -296,6 +315,21 @@ class Simulator:
         holds[time] = (anchor, entry, on_tie)
         return entry
 
+    def stop(self) -> None:
+        """End :meth:`run` right after the event being dispatched.
+
+        ``now`` stays at that event's time, even when ``run`` was given
+        ``until``; everything still scheduled stays, and a later ``run``
+        dispatches it in the order an uninterrupted run would have.
+        Called between runs, it makes the next ``run`` return before
+        dispatching anything.  Stopping is not an event: no counter moves.
+        """
+        heap = self._heap
+        if heap and heap[0][2] is _stop_run:
+            return  # already stopping
+        # The dispatching event's key sorts before every entry in the heap.
+        heappush(heap, [self.now, self._cursor, _stop_run, ()])
+
     def _drop_reached_holds(self) -> dict[float, tuple[Key, Entry, Callable[[], None]]]:
         """Forget every hold whose anchor has been reached, in one sweep.
 
@@ -330,7 +364,11 @@ class Simulator:
         Each dispatch also records its ``seq`` for :meth:`reached`.  The
         executed-event counters are summed in a local and added when the
         loop exits.  Tracing is decided once per call and records a
-        dispatch span and a queue-depth sample.
+        dispatch span, whose attributes are frozen once per callback
+        label, and a queue-depth sample.  A :meth:`stop` sentinel
+        passes through the loop like an event and raises out of it; the
+        handler takes it back off the counters and returns with ``now``
+        and the cursor on the stopping event.
         """
         global _total_executed
         heap = self._heap  # compaction rebuilds this list in place
@@ -338,6 +376,7 @@ class Simulator:
         traced = tracer.enabled
         now = self.now  # local mirror: one compare per event, no attr load
         executed = 0
+        dispatch_args: dict[str, tuple[tuple[str, str], ...]] = {}  # label -> frozen
         try:
             while heap:
                 if until is not None and heap[0][0] > until:
@@ -361,8 +400,15 @@ class Simulator:
                     # __qualname__ keeps the label deterministic; repr() of a
                     # bound method or partial would embed a memory address.
                     label = getattr(callback, "__qualname__", None) or type(callback).__name__
-                    tracer.complete("sim.dispatch", etime, self.now, callback=label)
+                    frozen = dispatch_args.get(label)
+                    if frozen is None:
+                        frozen = dispatch_args[label] = (("callback", label),)
+                    tracer.complete_frozen("sim.dispatch", etime, self.now, frozen)
                     tracer.counter("sim.queue_depth", self.now, float(self._pending))
+        except _Stop:
+            executed -= 1  # the sentinel is not an event
+            self._pending += 1
+            return
         finally:
             self.events_executed += executed
             _total_executed += executed

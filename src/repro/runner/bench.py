@@ -61,16 +61,19 @@ BENCH_SCHEMA_VERSION = 1
 #: The committed baseline the CI gate compares against.
 DEFAULT_BASELINE_PATH = "benchmarks/bench-baseline.json"
 
-#: The quick catalogue slice: enough to cover coverage, latency, power,
-#: energy and transport-remedy KPIs.  Everything but `remedy-comparison`
-#: is sub-second (the shared testbed build dominates); the remedy run
-#: simulates six 45 s bulk transfers and holds the gate on the
-#: subsystem's headline KPIs (`remedy.goodput.*`, `remedy.p99_rtt.*`).
+#: The quick catalogue slice: enough to cover coverage, latency, web,
+#: power, energy and transport-remedy KPIs.  Everything but
+#: `remedy-comparison` is sub-second (the shared testbed build
+#: dominates); the remedy run simulates six 45 s bulk transfers and holds
+#: the gate on the subsystem's headline KPIs (`remedy.goodput.*`,
+#: `remedy.p99_rtt.*`).  `fig16`'s thirty page loads each end at their
+#: completing ACK; its wall gate catches one that runs on to its timeout.
 QUICK_EXPERIMENTS: tuple[str, ...] = (
     "tab1",
     "fig3",
     "fig13",
     "fig15",
+    "fig16",
     "fig21",
     "fig22",
     "tab4",

@@ -172,6 +172,18 @@ class Tracer:
         self._spans_emitted += 1
         self._append((_SPAN, name, begin_s, end_s, _freeze_args(args)))
 
+    def complete_frozen(
+        self, name: str, begin_s: float, end_s: float, args: tuple[tuple[str, Any], ...]
+    ) -> None:
+        """:meth:`complete` with the attributes already frozen.
+
+        ``args`` is the tuple ``complete`` would build: the ``(name,
+        value)`` pairs sorted by name.  A hook that records the same
+        attributes many times freezes them once.
+        """
+        self._spans_emitted += 1
+        self._append((_SPAN, name, begin_s, end_s, args))
+
     def begin(self, name: str, begin_s: float, **args: Any) -> SpanHandle:
         """Open a span; the caller must ``end()`` the returned handle."""
         return SpanHandle(self, name, begin_s, args)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro import instruments
@@ -223,6 +224,9 @@ class TcpSender:
     controller that reads them (``cc.reads_delivery_rate``); every other
     controller gets ``delivery_rate_bps=None`` with the same acked bytes,
     RTT and time.
+
+    ``on_complete``, when set, is called once, from the ACK that
+    completes a sized transfer (see :meth:`TcpConnection.run_to_completion`).
     """
 
     def __init__(
@@ -248,6 +252,7 @@ class TcpSender:
         self.recover_seq: int | None = None  # NewReno recovery point
         self.delivered_bytes = 0
         self.completed_at: float | None = None
+        self.on_complete: Callable[[], None] | None = None
 
         self._sacked_bytes = 0
         self._retx_times: dict[int, float] = {}
@@ -441,6 +446,13 @@ class TcpSender:
             if self.transfer_bytes is not None and self.cum_ack >= self.transfer_bytes:
                 if self.completed_at is None:
                     self.completed_at = now
+                    # Nothing is left to send.  After a go-back-N rollback,
+                    # next_seq may lag bytes the receiver had all along;
+                    # move it up, as BSD TCP moves snd_nxt up to snd_una,
+                    # so the books balance where the transfer ends.
+                    self.next_seq = max(self.next_seq, self.cum_ack)
+                    if self.on_complete is not None:
+                        self.on_complete()
                 self._cancel_rto()
                 return
         else:
@@ -599,3 +611,26 @@ class TcpConnection:
     def start(self) -> None:
         """Begin transmitting."""
         self.sender.start()
+
+    def run_to_completion(self, timeout_s: float) -> float:
+        """Run a sized transfer until its last byte is acknowledged.
+
+        The completing ACK stops the simulator (:meth:`Simulator.stop`),
+        so what keeps running without the transfer, such as the path's
+        radio stalls, is not simulated on to ``timeout_s``.  Returns the
+        completion time.
+
+        Raises:
+            RuntimeError: if the transfer is not complete at ``timeout_s``.
+        """
+        sender = self.sender
+        sim = sender.sim
+        sender.on_complete = sim.stop
+        sender.start()
+        sim.run(until=timeout_s)
+        if sender.completed_at is None:
+            raise RuntimeError(
+                f"transfer did not complete within {timeout_s}s "
+                f"({sender.cum_ack}/{sender.transfer_bytes} bytes)"
+            )
+        return sender.completed_at

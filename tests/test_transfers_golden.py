@@ -20,8 +20,11 @@ RTO off twice.
 Two entries pin the application packet paths of Figs. 16-20: one
 uplink 5.7K dynamic-scene ``run_video_session``, whose frame bursts
 queue behind the stall-paused radio link (frames and the throughput
-trace are pinned by count and SHA-256), and one ``measure_plt`` page
-load over BBR.
+trace are pinned by count and SHA-256), one ``measure_plt`` page load
+over BBR, and the edge experiment (``edge``), whose two page loads
+have their own PLT formula.  Both page-load entries stop the simulator
+at the completing ACK, so they also pin that nothing the stop skips
+feeds a result.
 
 Regenerate (only for an intended output change) with::
 
@@ -42,6 +45,7 @@ from repro.apps.web import WEB_PAGE_CATALOG, measure_plt
 from repro.audit.core import Auditor
 from repro.cli import _to_jsonable
 from repro.core.rng import default_rng
+from repro.experiments import discussion_edge_computing
 from repro.experiments.common import path_config
 from repro.experiments.remedy_comparison import REMEDY_VARIANTS
 from repro.net.path import PathConfig, build_cellular_path
@@ -140,6 +144,7 @@ def _transfers() -> dict[str, Callable[[], Any]]:
         scale=paper.workload.video_sim_scale, seed=SEED,
     )
     runs["plt-search"] = lambda: measure_plt(WEB_PAGE_CATALOG[0], paper.radio.nr, seed=SEED)
+    runs["edge-plt"] = lambda: discussion_edge_computing.run(seed=SEED)
     return runs
 
 
