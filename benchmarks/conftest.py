@@ -14,6 +14,7 @@ the assertions.  The cache key includes the experiment's kwargs and the
 package source hash, so edited code or changed parameters always re-run.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -39,8 +40,9 @@ def run_once(benchmark):
 
         name = f"bench--{fn.__module__}.{fn.__qualname__}"
         seed = kwargs.get("seed", DEFAULT_SEED)
-        extra = repr((args, sorted(kwargs.items())))
-        hit = cache.load(name, seed, extra=extra)
+        params = repr((args, sorted(kwargs.items()))).encode()
+        key = f"{name}--{hashlib.sha256(params).hexdigest()[:8]}"
+        hit = cache.load(key, seed)
         if hit is not None:
             return benchmark.pedantic(lambda: hit.result, rounds=1, iterations=1)
 
@@ -52,7 +54,7 @@ def run_once(benchmark):
             return result
 
         result = benchmark.pedantic(timed, rounds=1, iterations=1)
-        cache.store(name, seed, result, captured["record"], extra=extra)
+        cache.store(key, seed, result, captured["record"])
         return result
 
     return _run

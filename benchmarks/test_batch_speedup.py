@@ -48,7 +48,7 @@ DRAW_ROUNDS = 3
 
 def test_dense_grid_survey_speedup():
     bed = build_testbed(scenario="dense-grid")
-    locations = grid_locations(bed.campus.width_m, bed.campus.height_m, 10.0)
+    locations = grid_locations(bed.world.width_m, bed.world.height_m, 10.0)
 
     # Warm the testbed caches and the shared shadow-fading draws.
     survey_at_locations(bed.nr, locations)

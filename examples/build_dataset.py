@@ -26,12 +26,12 @@ def main(output_dir: str = "dataset") -> None:
     release = DatasetRelease("operational_5g_repro")
 
     print("1/4 coverage survey...")
-    locations = road_locations(bed.campus, 400, bed.rng_factory.stream("release"))
+    locations = road_locations(bed.world, 400, bed.rng_factory.stream("release"))
     release.add_coverage_survey("campus_5g", survey_at_locations(bed.nr, locations))
     release.add_coverage_survey("campus_4g", survey_at_locations(bed.lte, locations))
 
     print("2/4 KPI drive test (3 min walk)...")
-    walker = RouteWalker(bed.campus, bed.rng_factory.stream("release-walk"))
+    walker = RouteWalker(bed.world, bed.rng_factory.stream("release-walk"))
     tester = DriveTester(bed.nr, bed.lte, walker, bed.rng_factory.stream("release-ho"))
     release.add_drive_test("walk1", tester.run(duration_s=180.0))
 

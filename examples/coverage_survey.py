@@ -22,7 +22,7 @@ from repro.radio.coverage import (
 
 def main(num_points: int = 800) -> None:
     bed = testbed(seed=7)
-    locations = road_locations(bed.campus, num_points, bed.rng_factory.stream("example"))
+    locations = road_locations(bed.world, num_points, bed.rng_factory.stream("example"))
 
     table = ResultTable(
         f"Blanket survey over {num_points} road locations",
@@ -58,7 +58,7 @@ def main(num_points: int = 800) -> None:
         bar = "#" * int(frac * 60)
         print(f"  [{lo:5.0f}, {hi:5.0f})  {percent(frac):>7s}  {bar}")
 
-    gap = indoor_outdoor_gap(bed.nr, bed.campus, 72, 40, bed.rng_factory.stream("io"))
+    gap = indoor_outdoor_gap(bed.nr, bed.world, 72, 40, bed.rng_factory.stream("io"))
     print(
         f"\nIndoor/outdoor near cell 72: outdoor {gap.mean_outdoor_bps / 1e6:.0f} Mbps"
         f" -> indoor {gap.mean_indoor_bps / 1e6:.0f} Mbps"

@@ -27,15 +27,15 @@ from repro.radio.coverage import road_locations, survey_at_locations
 
 def coverage_map(bed) -> None:
     print("Campus 5G RSRP map (paper Fig. 2a; darker = stronger):\n")
-    locations = road_locations(bed.campus, 1500, bed.rng_factory.stream("map"))
+    locations = road_locations(bed.world, 1500, bed.rng_factory.stream("map"))
     points = survey_at_locations(bed.nr, locations)
     samples = [(p.location.x, p.location.y, p.rsrp_dbm) for p in points]
-    print(heatmap(samples, bed.campus.width_m, bed.campus.height_m, cols=46, rows=20))
+    print(heatmap(samples, bed.world.width_m, bed.world.height_m, cols=46, rows=20))
 
 
 def handoff_campaign(bed, minutes: float):
     print(f"\nWalking the campus for {minutes:.0f} minutes collecting hand-offs...")
-    walker = RouteWalker(bed.campus, bed.rng_factory.stream("hx-walk"), speed_kmh=6.0)
+    walker = RouteWalker(bed.world, bed.rng_factory.stream("hx-walk"), speed_kmh=6.0)
     engine = HandoffEngine(bed.nr, bed.lte, bed.rng_factory.stream("hx-ho"),
                            measurement_noise_db=2.5)
     campaign = engine.run(walker.trajectory(minutes * 60.0, dt_s=0.108))

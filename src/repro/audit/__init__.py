@@ -36,7 +36,6 @@ from repro.audit.core import (
 from repro.audit.export import (
     dump_basename,
     load_audit,
-    to_jsonl_lines,
     write_jsonl,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "dump_basename",
     "load_audit",
     "summary_table",
-    "to_jsonl_lines",
     "violations_table",
     "write_jsonl",
 ]

@@ -64,11 +64,6 @@ class Testbed:
     lte_anchors: RadioNetwork
 
     @property
-    def campus(self) -> WorldModel:
-        """Back-compat alias of :attr:`world` (the paper's map was a campus)."""
-        return self.world
-
-    @property
     def rng_factory(self) -> RngFactory:
         """A fresh factory positioned at the campaign seed."""
         return RngFactory(self.seed)

@@ -1,12 +1,12 @@
 """Planar geometry, buildings and the abstract world model.
 
-``SectorSpec``/``SiteSpec`` and the map type itself live in
-:mod:`repro.geometry.world`; :mod:`repro.geometry.campus` merely produces
-the hand-crafted paper replica (``Campus`` is an alias of ``WorldModel``).
+``SectorSpec``/``SiteSpec`` and the map type itself (``WorldModel``) live
+in :mod:`repro.geometry.world`; :mod:`repro.geometry.campus` merely
+produces the hand-crafted paper replica.
 """
 
 from repro.geometry.buildings import WALL_LOSS_CLASSES, Building, BuildingMap
-from repro.geometry.campus import Campus, build_campus
+from repro.geometry.campus import build_campus
 from repro.geometry.points import GeoPoint, Point, Segment, haversine_km
 from repro.geometry.world import (
     JUNCTION_TOLERANCE_M,
@@ -21,7 +21,6 @@ from repro.geometry.world import (
 __all__ = [
     "Building",
     "BuildingMap",
-    "Campus",
     "GeoPoint",
     "JUNCTION_TOLERANCE_M",
     "Point",

@@ -11,9 +11,8 @@ aggregate statistics so coverage experiments run against comparable geometry:
 * eNB density 13 / 0.46 km^2 = 28.3 per km^2 (paper: 28.14),
 * road network ~6.0 km.
 
-The map type itself lives in :mod:`repro.geometry.world`: :class:`Campus`
-is an alias of :class:`~repro.geometry.world.WorldModel`, and this module
-is the producer behind the ``paper-campus`` topology generator preset
+The map type itself is :class:`~repro.geometry.world.WorldModel`, and this
+module is the producer behind the ``paper-campus`` topology generator preset
 (:mod:`repro.topology.generate`).  Procedural districts come from the other
 presets; everything downstream consumes the abstract world model.
 """
@@ -24,15 +23,11 @@ from repro.geometry.buildings import Building, BuildingMap
 from repro.geometry.points import Point, Segment
 from repro.geometry.world import SectorSpec, SiteSpec, WorldModel
 
-__all__ = ["SectorSpec", "SiteSpec", "Campus", "build_campus"]
+__all__ = ["SectorSpec", "SiteSpec", "build_campus"]
 
 #: Campus bounds in meters.
 WIDTH_M = 500.0
 HEIGHT_M = 920.0
-
-#: The hand-crafted campus is a plain world model; the alias survives for
-#: callers (and papers) that think in terms of "the campus".
-Campus = WorldModel
 
 
 def _grid_roads() -> tuple[Segment, ...]:
@@ -158,7 +153,7 @@ def _enb_sites() -> tuple[SiteSpec, ...]:
     return tuple(sites)
 
 
-def build_campus(extra_gnb_sites: int = 0) -> Campus:
+def build_campus(extra_gnb_sites: int = 0) -> WorldModel:
     """Construct the deterministic campus replica.
 
     Args:
@@ -167,10 +162,10 @@ def build_campus(extra_gnb_sites: int = 0) -> Campus:
             default 0 reproduces the measured deployment exactly.
 
     Returns:
-        A :class:`Campus` whose aggregate statistics (area, densities, road
+        A :class:`WorldModel` whose aggregate statistics (area, densities, road
         length, cell counts) match the paper's Tab. 1 and Sec. 2/3.
     """
-    campus = Campus(
+    campus = WorldModel(
         width_m=WIDTH_M,
         height_m=HEIGHT_M,
         roads=_grid_roads(),

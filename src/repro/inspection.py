@@ -1,9 +1,9 @@
 """``repro inspect show|diff|export``: one reader for every run artifact.
 
-Trace, metrics and audit JSONL files open with a ``{"kind": "header",
-"tool": "repro.<kind>"}`` line, Chrome traces carry ``traceEvents`` and a
-directory (``repro run --out DIR``) holds worker heartbeats, so the kind
-comes from the artifact.  ``show`` on a directory exits 1 when a run is
+Trace, metrics and audit JSONL files open with their
+:mod:`repro.artifacts` header line, Chrome traces carry ``traceEvents``
+and a directory (``repro run --out DIR``) holds worker heartbeats, so the
+kind comes from the artifact.  ``show`` on a directory exits 1 when a run is
 busy beyond ``--stall-timeout``; ``diff`` exits 1 when two artifacts
 differ, so it doubles as a determinism gate; ``export`` writes a trace as
 Chrome ``trace_event`` JSON, with a JSONL header's campaign meta as its
@@ -14,27 +14,22 @@ a one-line message on stderr and exit code 1.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from typing import Any
 
+from repro import artifacts
 from repro.audit import analysis as audit_analysis
 from repro.audit.export import load_audit
 from repro.metrics import export as metrics_export
 from repro.runner.worker import STALL_TIMEOUT_S, scan_stalls
 from repro.trace import analysis as trace_analysis
-from repro.trace.export import load_trace, write_chrome
+from repro.trace.export import is_chrome, load_trace, write_chrome
 
 __all__ = ["add_inspect_arguments", "artifact_kind", "run_inspect"]
 
-_KINDS = {"repro.trace": "trace", "repro.metrics": "metrics", "repro.audit": "audit"}
 _LOADERS = {"trace": load_trace, "metrics": metrics_export.load_snapshot, "audit": load_audit}
-
-#: Bytes read to tell kinds apart: a header line is far shorter, and a
-#: one-line Chrome document names ``traceEvents`` among its first keys.
-_SNIFF_CHARS = 1 << 16
 
 
 def add_inspect_arguments(parser: argparse.ArgumentParser) -> None:
@@ -58,27 +53,17 @@ def add_inspect_arguments(parser: argparse.ArgumentParser) -> None:
     export.add_argument("output", help="output path")
 
 
-def _sniff(path: str) -> tuple[str, dict[str, Any]]:
-    """The start of ``path``, left-stripped, and its parsed header line ({} if none)."""
-    with open(path, encoding="utf-8") as fh:
-        head = fh.read(_SNIFF_CHARS).lstrip()
-    try:
-        header = json.loads(head.partition("\n")[0])
-    except json.JSONDecodeError:
-        header = None
-    return head, header if isinstance(header, dict) else {}
-
-
 def artifact_kind(path: str) -> str:
-    """``"trace"``, ``"metrics"``, ``"audit"`` or ``"heartbeats"`` (ValueError if none)."""
+    """One of :data:`repro.artifacts.KINDS` or ``"heartbeats"`` (ValueError if none)."""
     if os.path.isdir(path):
         return "heartbeats"
-    head, header = _sniff(path)
+    head, header = artifacts.sniff(path)
+    kind = artifacts.kind_of(header)
+    if kind is not None:
+        return kind
     if not head:
         raise ValueError("empty file")
-    if header.get("tool") in _KINDS:
-        return _KINDS[header["tool"]]
-    if head.startswith("{") and '"traceEvents"' in head:
+    if is_chrome(head):
         return "trace"
     raise ValueError("not a repro artifact (no repro.* header line, no traceEvents)")
 
@@ -145,7 +130,8 @@ def run_inspect(args: argparse.Namespace) -> int:
         return _diff(kind, payload, other, args.tolerance)
     if kind == "trace":
         # The campaign meta of a JSONL header becomes the document's otherData.
-        count = write_chrome(payload, args.output, meta=_sniff(args.path)[1].get("meta"))
+        meta = artifacts.sniff(args.path)[1].get("meta")
+        count = write_chrome(payload, args.output, meta=meta)
         print(f"wrote {count} trace event(s) to {args.output}")
     elif kind == "metrics":
         count = metrics_export.write_prometheus(payload, args.output)

@@ -322,7 +322,7 @@ POLICIES: dict[str, Policy] = {
                     "repro.experiments.common.bump_kpi",
                 }
             ),
-            methods=frozenset({"counter", "gauge", "welford", "quantile", "histogram"}),
+            methods=frozenset({"counter", "gauge", "quantile"}),
             receivers=("registry", "metrics"),
             bad_chars="metric name contains {chars}: names must match [a-z0-9_.]+",
             no_suffix=(

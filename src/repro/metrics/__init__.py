@@ -1,13 +1,14 @@
-"""Mergeable KPI registry, streaming sketches and exporters.
+"""Mergeable KPI registry, its quantile sketch and exporters.
 
 The paper reports statistical aggregates — RSRP distributions, hand-off
 latency CDFs, energy-per-bit curves — and this package is where the
-reproduction records its own: experiments register headline KPIs under
-stable dotted names, the campaign runner snapshots one registry per run,
-and per-worker snapshots merge deterministically into a campaign-level
-view (byte-identical serial vs parallel).  See :mod:`repro.metrics.core`
-for the merge model, :mod:`repro.metrics.sketches` for the sketch
-algebra, and :mod:`repro.metrics.export` for JSONL/Prometheus output.
+reproduction records its own: experiments register headline KPIs as
+counters, gauges and quantile sketches under stable dotted names, the
+campaign runner snapshots one registry per run, and per-worker snapshots
+merge deterministically into a campaign-level view (byte-identical
+serial vs parallel).  See :mod:`repro.metrics.core` for the merge model,
+:mod:`repro.metrics.sketches` for the reservoir sketch, and
+:mod:`repro.metrics.export` for JSONL/Prometheus output.
 The registry a run records into is the ``registry`` field of
 :func:`repro.instruments.current`.
 """
@@ -23,32 +24,22 @@ from repro.metrics.core import (
 from repro.metrics.export import (
     diff_snapshots,
     load_snapshot,
-    to_jsonl_lines,
     to_prometheus_lines,
     write_jsonl,
     write_prometheus,
 )
-from repro.metrics.sketches import (
-    FixedHistogram,
-    P2Quantile,
-    ReservoirQuantile,
-    Welford,
-)
+from repro.metrics.sketches import ReservoirQuantile
 
 __all__ = [
-    "FixedHistogram",
     "MetricRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "P2Quantile",
     "ReservoirQuantile",
-    "Welford",
     "diff_snapshots",
     "fold_metric_name",
     "load_snapshot",
     "merge_snapshots",
     "summarize_entry",
-    "to_jsonl_lines",
     "to_prometheus_lines",
     "write_jsonl",
     "write_prometheus",

@@ -1,14 +1,13 @@
 """The metric registry: named KPIs with deterministic merge semantics.
 
-A :class:`MetricRegistry` collects five metric kinds under stable dotted
-names (``fig6.ho_latency.5g_5g.mean_ms``):
+A :class:`MetricRegistry` collects three metric kinds under stable dotted
+names (``fig6.ho_latency.5g_5g.mean_ms``), the shapes the paper reports
+its results in (counts, means, CDFs):
 
 * **counter** — monotone accumulator (``inc``);
 * **gauge** — last-set scalar, the natural shape for headline KPIs;
-* **welford** — streaming mean/variance (:class:`~repro.metrics.sketches.Welford`);
 * **quantile** — mergeable bottom-k reservoir
-  (:class:`~repro.metrics.sketches.ReservoirQuantile`);
-* **histogram** — exact counts over fixed bucket edges.
+  (:class:`~repro.metrics.sketches.ReservoirQuantile`).
 
 Every registry carries an ``origin`` tag (the campaign runner uses
 ``"<experiment>:<seed>"``) and its :meth:`~MetricRegistry.snapshot` keeps
@@ -35,13 +34,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from repro.metrics.sketches import (
-    DEFAULT_RESERVOIR_K,
-    FixedHistogram,
-    ReservoirQuantile,
-    Welford,
-    combine_moments,
-)
+from repro.metrics.sketches import DEFAULT_RESERVOIR_K, ReservoirQuantile, interpolate
 
 __all__ = [
     "Counter",
@@ -156,10 +149,6 @@ class MetricRegistry:
         """Get or create the gauge ``name``."""
         return self._register(name, "gauge", lambda: Gauge(name))
 
-    def welford(self, name: str) -> Welford:
-        """Get or create the mean/variance accumulator ``name``."""
-        return self._register(name, "welford", Welford)
-
     def quantile(self, name: str, k: int = DEFAULT_RESERVOIR_K) -> ReservoirQuantile:
         """Get or create the reservoir quantile sketch ``name``.
 
@@ -169,15 +158,6 @@ class MetricRegistry:
         return self._register(
             name, "quantile", lambda: ReservoirQuantile(k=k, tag=f"{self.origin}|{name}")
         )
-
-    def histogram(self, name: str, edges) -> FixedHistogram:
-        """Get or create the fixed-bucket histogram ``name``."""
-        metric = self._register(name, "histogram", lambda: FixedHistogram(edges))
-        if tuple(float(e) for e in edges) != metric.edges:
-            raise ValueError(
-                f"histogram {name!r} already registered with edges {list(metric.edges)}"
-            )
-        return metric
 
     # ------------------------------------------------------------- snapshot
     def snapshot(self) -> dict[str, Any]:
@@ -204,35 +184,14 @@ class MetricRegistry:
             if metric.seq == 0:
                 return None
             return {"kind": kind, "parts": {origin: [metric.seq, metric.value]}}
-        if kind == "welford":
-            if metric.count == 0:
-                return None
-            return {"kind": kind, "parts": {origin: metric.state()}}
-        if kind == "quantile":
-            if metric.count == 0:
-                return None
-            return {
-                "kind": kind,
-                "k": metric.k,
-                "parts": {
-                    origin: [metric.count, metric.total, metric.minimum, metric.maximum]
-                },
-                "items": metric.items(),
-            }
-        if kind == "histogram":
-            return {
-                "kind": kind,
-                "edges": list(metric.edges),
-                "parts": {
-                    origin: {
-                        "counts": list(metric.counts),
-                        "below": metric.below,
-                        "above": metric.above,
-                        "total": metric.total,
-                    }
-                },
-            }
-        raise AssertionError(f"unknown metric kind {kind!r}")
+        if metric.count == 0:
+            return None
+        return {
+            "kind": kind,
+            "k": metric.k,
+            "parts": {origin: [metric.count, metric.total, metric.minimum, metric.maximum]},
+            "items": metric.items(),
+        }
 
 
 def merge_snapshots(snapshots) -> dict[str, Any]:
@@ -286,8 +245,6 @@ def _merge_entry(name: str, target: dict[str, Any], entry: dict[str, Any]) -> No
     kind = entry["kind"]
     if kind == "quantile" and target["k"] != entry["k"]:
         raise ValueError(f"metric {name!r}: reservoir sizes differ ({target['k']} vs {entry['k']})")
-    if kind == "histogram" and target["edges"] != entry["edges"]:
-        raise ValueError(f"metric {name!r}: histogram edges differ")
     for origin, part in entry["parts"].items():
         existing = target["parts"].get(origin)
         if existing is None:
@@ -315,16 +272,6 @@ def summarize_entry(entry: dict[str, Any]) -> dict[str, float]:
         return {"value": float(sum(parts))}
     if kind == "gauge":
         return {"value": float(parts[-1][1])}
-    if kind == "welford":
-        count, mean, m2, minimum, maximum = combine_moments(parts)
-        variance = m2 / count if count >= 2 else 0.0
-        return {
-            "count": count,
-            "mean": mean,
-            "std": variance**0.5,
-            "min": minimum,
-            "max": maximum,
-        }
     if kind == "quantile":
         count = sum(int(part[0]) for part in parts)
         total = sum(part[1] for part in parts)
@@ -334,29 +281,13 @@ def summarize_entry(entry: dict[str, Any]) -> dict[str, float]:
         return {
             "count": float(count),
             "mean": total / count,
-            "p50": _interpolate(values, 50.0),
-            "p90": _interpolate(values, 90.0),
-            "p99": _interpolate(values, 99.0),
+            "p50": interpolate(values, 50.0),
+            "p90": interpolate(values, 90.0),
+            "p99": interpolate(values, 99.0),
             "min": minimum,
             "max": maximum,
         }
-    if kind == "histogram":
-        count = sum(sum(p["counts"]) + p["below"] + p["above"] for p in parts)
-        total = sum(p["total"] for p in parts)
-        return {"count": float(count), "mean": total / count if count else 0.0}
     raise ValueError(f"unknown metric kind {kind!r}")
-
-
-def _interpolate(values: list[float], pct: float) -> float:
-    if not values:
-        raise ValueError("empty sample")
-    if len(values) == 1:
-        return values[0]
-    position = (pct / 100.0) * (len(values) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(values) - 1)
-    fraction = position - lower
-    return values[lower] * (1.0 - fraction) + values[upper] * fraction
 
 
 class _NullMetric:
@@ -396,13 +327,7 @@ class NullRegistry:
     def gauge(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
-    def welford(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
     def quantile(self, name: str, k: int = DEFAULT_RESERVOIR_K) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, edges) -> _NullMetric:
         return _NULL_METRIC
 
     def snapshot(self) -> dict[str, Any]:

@@ -2,17 +2,15 @@
 
 Two output formats:
 
-* **JSONL** (``.jsonl``) — one sorted-key JSON object per line: a header,
-  then one line per metric carrying both the mergeable state (per-origin
-  parts, reservoir items) and the derived summary scalars.  Like trace
-  JSONL it contains no wall-clock timestamps or PIDs, so a fixed
-  experiment set + seed produces byte-identical files — the CI gate
-  compares serial and parallel campaign exports with ``cmp``.
-* **Prometheus text exposition** — counters/gauges map directly,
-  welford means map to ``_mean``/``_stddev``/``_count`` gauges, quantile
-  sketches to ``summary`` series and fixed histograms to cumulative
-  ``histogram`` buckets.  Dots become underscores (Prometheus names
-  cannot carry ``.``).
+* **JSONL** (``.jsonl``) — the ``repro.metrics`` kind of
+  :mod:`repro.artifacts`: a header counting the metrics, then one line
+  per metric carrying both the mergeable state (per-origin parts,
+  reservoir items) and the derived summary scalars.  A fixed experiment
+  set + seed produces byte-identical files — the CI gate compares serial
+  and parallel campaign exports with ``cmp``.
+* **Prometheus text exposition** — counters/gauges map directly and
+  quantile sketches to ``summary`` series.  Dots become underscores
+  (Prometheus names cannot carry ``.``).
 
 :func:`load_snapshot` reads the JSONL form back into a plain snapshot
 dict, so ``repro inspect show|diff`` and :func:`diff_snapshots` work on
@@ -21,84 +19,54 @@ files exactly as on in-memory snapshots.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any
 
+from repro import artifacts
 from repro.core.results import ResultTable
 from repro.metrics.core import SNAPSHOT_SCHEMA_VERSION, merge_snapshots, summarize_entry
 
 __all__ = [
-    "JSONL_SCHEMA_VERSION",
     "MetricDelta",
     "diff_snapshots",
     "diff_table",
     "load_snapshot",
     "summary_table",
-    "to_jsonl_lines",
     "to_prometheus_lines",
     "write_jsonl",
     "write_prometheus",
 ]
 
-JSONL_SCHEMA_VERSION = 1
 
-
-def to_jsonl_lines(snapshot: dict[str, Any], meta: dict[str, Any] | None = None) -> list[str]:
-    """Serialise a snapshot as JSONL lines (header first, metrics sorted)."""
-    metrics = snapshot.get("metrics", {})
-    header: dict[str, Any] = {
-        "kind": "header",
-        "tool": "repro.metrics",
-        "schema_version": JSONL_SCHEMA_VERSION,
-        "snapshot_schema_version": snapshot.get("schema_version", SNAPSHOT_SCHEMA_VERSION),
-        "metrics": len(metrics),
-    }
-    if meta:
-        header["meta"] = meta
-    lines = [json.dumps(header, sort_keys=True)]
-    for name in sorted(metrics):
-        entry = metrics[name]
-        record = dict(entry)
-        record["name"] = name
-        record["summary"] = summarize_entry(entry)
-        lines.append(json.dumps(record, sort_keys=True))
-    return lines
+def _record(name: str, entry: dict[str, Any]) -> dict[str, Any]:
+    return {**entry, "name": name, "summary": summarize_entry(entry)}
 
 
 def write_jsonl(
     snapshot: dict[str, Any], path: str, meta: dict[str, Any] | None = None
 ) -> int:
-    """Write the JSONL form to ``path``; returns the number of metrics."""
-    lines = to_jsonl_lines(snapshot, meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    return len(lines) - 1
+    """Write the JSONL form to ``path`` (metrics sorted); returns the metric count."""
+    metrics = snapshot.get("metrics", {})
+    fields = {
+        "snapshot_schema_version": snapshot.get("schema_version", SNAPSHOT_SCHEMA_VERSION),
+        "metrics": len(metrics),
+    }
+    records = (_record(name, metrics[name]) for name in sorted(metrics))
+    return artifacts.write_jsonl(path, "metrics", fields, records, meta)
 
 
 def load_snapshot(path: str) -> dict[str, Any]:
     """Load a metrics JSONL file back into a snapshot dict.
 
     Raises:
-        ValueError: on empty, truncated or non-metrics input.
+        ValueError: on empty, truncated or non-metrics input (see
+            :func:`repro.artifacts.read_jsonl`).
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty metrics file")
-    try:
-        records = [json.loads(line) for line in lines]
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"truncated or malformed metrics JSONL: {exc}") from exc
-    header = records[0]
-    if header.get("kind") != "header" or header.get("tool") != "repro.metrics":
-        raise ValueError("not a repro.metrics JSONL file (missing header line)")
+    header, records = artifacts.read_jsonl(path, "metrics")
     metrics: dict[str, Any] = {}
-    for record in records[1:]:
-        if not isinstance(record, dict) or not {"name", "kind", "parts"} <= set(record):
+    for record in records:
+        if not {"name", "kind", "parts"} <= set(record):
             raise ValueError(f"truncated or malformed metrics record: {record!r}")
         name = record["name"]
         metrics[name] = {
@@ -139,13 +107,6 @@ def to_prometheus_lines(snapshot: dict[str, Any]) -> list[str]:
         elif kind == "gauge":
             lines.append(f"# TYPE {prom} gauge")
             lines.append(f"{prom} {_prom_value(summary['value'])}")
-        elif kind == "welford":
-            lines.append(f"# TYPE {prom}_mean gauge")
-            lines.append(f"{prom}_mean {_prom_value(summary['mean'])}")
-            lines.append(f"# TYPE {prom}_stddev gauge")
-            lines.append(f"{prom}_stddev {_prom_value(summary['std'])}")
-            lines.append(f"# TYPE {prom}_count counter")
-            lines.append(f"{prom}_count {_prom_value(summary['count'])}")
         elif kind == "quantile":
             lines.append(f"# TYPE {prom} summary")
             for pct, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
@@ -153,20 +114,6 @@ def to_prometheus_lines(snapshot: dict[str, Any]) -> list[str]:
             total = summary["mean"] * summary["count"]
             lines.append(f"{prom}_sum {_prom_value(total)}")
             lines.append(f"{prom}_count {_prom_value(summary['count'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {prom} histogram")
-            parts = [entry["parts"][origin] for origin in sorted(entry["parts"])]
-            edges = entry["edges"]
-            counts = [sum(p["counts"][i] for p in parts) for i in range(len(edges) - 1)]
-            below = sum(p["below"] for p in parts)
-            above = sum(p["above"] for p in parts)
-            cumulative = below
-            for edge, count in zip(edges[1:], counts):
-                cumulative += count
-                lines.append(f'{prom}_bucket{{le="{edge:g}"}} {cumulative}')
-            lines.append(f'{prom}_bucket{{le="+Inf"}} {cumulative + above}')
-            lines.append(f"{prom}_sum {_prom_value(sum(p['total'] for p in parts))}")
-            lines.append(f"{prom}_count {cumulative + above}")
     return lines
 
 
@@ -189,16 +136,6 @@ def summary_table(snapshot: dict[str, Any], title: str = "Metrics") -> ResultTab
         kind = entry["kind"]
         if kind in ("counter", "gauge"):
             table.add_row([name, kind, "", f"{summary['value']:g}", ""])
-        elif kind == "welford":
-            table.add_row(
-                [
-                    name,
-                    kind,
-                    f"{summary['count']:g}",
-                    f"{summary['mean']:g}",
-                    f"std {summary['std']:g} range [{summary['min']:g}, {summary['max']:g}]",
-                ]
-            )
         elif kind == "quantile":
             table.add_row(
                 [
@@ -208,10 +145,6 @@ def summary_table(snapshot: dict[str, Any], title: str = "Metrics") -> ResultTab
                     f"{summary['p50']:g}",
                     f"p90 {summary['p90']:g} mean {summary['mean']:g}",
                 ]
-            )
-        elif kind == "histogram":
-            table.add_row(
-                [name, kind, f"{summary['count']:g}", f"{summary['mean']:g}", "mean of samples"]
             )
     return table
 

@@ -1,26 +1,16 @@
-"""Mergeable streaming sketches for the metric registry.
+"""The mergeable quantile sketch behind the registry's ``quantile`` kind.
 
 The paper's results are almost all distributions — RSRP histograms
 (Tab. 2), hand-off latency CDFs (Fig. 6), energy-per-bit curves
-(Fig. 22) — so the registry needs summaries that can be built one sample
-at a time *and* combined across campaign workers without bias.  Three
-sketches cover the space:
-
-* :class:`Welford` — running mean/variance (numerically stable, and the
-  pairwise state ``(count, mean, m2)`` combines exactly à la Chan et al.);
-* :class:`ReservoirQuantile` — a bottom-k priority reservoir: every
-  observation gets a deterministic hash priority and the k smallest
-  priorities are retained, so a merge is "union, keep k smallest" —
-  order-independent, duplicate-safe, and identical whether the stream was
-  sketched by one worker or twelve;
-* :class:`FixedHistogram` — exact integer counts over fixed bucket edges
-  (the Tab. 2 shape), trivially mergeable by summing.
-
-A plain :class:`P2Quantile` (the classic Jain & Chlamtac P² estimator) is
-also provided for single-pass single-quantile estimation in O(1) memory;
-it is *not* mergeable and therefore stays out of the registry — its role
-is streaming estimation and cross-validation of the exact
-:class:`repro.core.stats.Cdf` percentiles.
+(Fig. 22) — so the registry needs a summary that can be built one sample
+at a time *and* combined across campaign workers without bias.
+:class:`ReservoirQuantile` is a bottom-k priority reservoir: every
+observation gets a deterministic hash priority and the k smallest
+priorities are retained, so a merge is "union, keep k smallest" —
+order-independent, duplicate-safe, and identical whether the stream was
+sketched by one worker or twelve.  :func:`interpolate` reads a
+percentile off the retained sample, here and in
+:func:`repro.metrics.core.summarize_entry`.
 
 Determinism note: reservoir priorities hash ``(tag, index)``, never the
 value or wall clock, so a fixed experiment + seed always retains the same
@@ -32,95 +22,33 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "DEFAULT_RESERVOIR_K",
-    "FixedHistogram",
-    "P2Quantile",
     "ReservoirQuantile",
-    "Welford",
-    "combine_moments",
+    "interpolate",
 ]
 
 #: Default retained-sample budget of a :class:`ReservoirQuantile`.
 DEFAULT_RESERVOIR_K = 512
 
 
-class Welford:
-    """Streaming mean/variance with exactly combinable state.
+def interpolate(values: Sequence[float], pct: float) -> float:
+    """Value at percentile ``pct`` (0..100) of the sorted ``values``.
 
-    State is the classic triple ``(count, mean, m2)``; population variance
-    is ``m2 / count``.  :func:`combine_moments` folds several states in a
-    canonical order so merged results are byte-reproducible.
+    Linear interpolation between the two nearest ranks, matching
+    :meth:`repro.core.stats.Cdf.percentile`.
     """
-
-    __slots__ = ("count", "mean", "m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the running moments."""
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0 for fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation."""
-        return self.variance**0.5
-
-    def state(self) -> list[float]:
-        """The mergeable state ``[count, mean, m2, min, max]``."""
-        return [float(self.count), self.mean, self.m2, self.minimum, self.maximum]
-
-
-def combine_moments(states: Iterable[Sequence[float]]) -> list[float]:
-    """Fold Welford states pairwise, in the order given.
-
-    Callers that need order-independent (byte-identical) results must sort
-    ``states`` by a canonical key first — the registry sorts per-origin
-    parts by origin tag before folding.
-    """
-    count = 0.0
-    mean = 0.0
-    m2 = 0.0
-    minimum = float("inf")
-    maximum = float("-inf")
-    for state in states:
-        b_count, b_mean, b_m2, b_min, b_max = state
-        if b_count == 0:
-            continue
-        if count == 0:
-            count, mean, m2 = b_count, b_mean, b_m2
-        else:
-            delta = b_mean - mean
-            total = count + b_count
-            mean = mean + delta * (b_count / total)
-            m2 = m2 + b_m2 + delta * delta * (count * b_count / total)
-            count = total
-        minimum = min(minimum, b_min)
-        maximum = max(maximum, b_max)
-    return [count, mean, m2, minimum, maximum]
+    if not values:
+        raise ValueError("empty sample")
+    if len(values) == 1:
+        return values[0]
+    position = (pct / 100.0) * (len(values) - 1)
+    lower = int(position)
+    upper = min(lower + 1, len(values) - 1)
+    fraction = position - lower
+    return values[lower] * (1.0 - fraction) + values[upper] * fraction
 
 
 def _priority(tag: str, index: int) -> str:
@@ -208,148 +136,4 @@ class ReservoirQuantile:
         """
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        values = self.values()
-        if not values:
-            raise ValueError("empty sample")
-        if len(values) == 1:
-            return values[0]
-        position = (pct / 100.0) * (len(values) - 1)
-        lower = int(position)
-        upper = min(lower + 1, len(values) - 1)
-        fraction = position - lower
-        return values[lower] * (1.0 - fraction) + values[upper] * fraction
-
-
-class FixedHistogram:
-    """Exact integer counts over fixed half-open buckets ``[lo, hi)``.
-
-    Out-of-range observations are tallied in ``below``/``above`` rather
-    than dropped, so merged totals always reconcile with ``count``.
-    """
-
-    __slots__ = ("edges", "counts", "below", "above", "total")
-
-    def __init__(self, edges: Sequence[float]) -> None:
-        if len(edges) < 2:
-            raise ValueError(f"histogram needs at least two edges, got {list(edges)}")
-        ordered = [float(e) for e in edges]
-        if any(a >= b for a, b in zip(ordered, ordered[1:])):
-            raise ValueError(f"histogram edges must be strictly increasing: {ordered}")
-        self.edges = tuple(ordered)
-        self.counts = [0] * (len(ordered) - 1)
-        self.below = 0
-        self.above = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into its bucket."""
-        value = float(value)
-        self.total += value
-        if value < self.edges[0]:
-            self.below += 1
-            return
-        if value >= self.edges[-1]:
-            self.above += 1
-            return
-        self.counts[bisect_right(self.edges, value) - 1] += 1
-
-    @property
-    def count(self) -> int:
-        """Total number of observations, including out-of-range ones."""
-        return sum(self.counts) + self.below + self.above
-
-
-class P2Quantile:
-    """The P² single-quantile estimator (Jain & Chlamtac, CACM 1985).
-
-    Tracks one quantile of a stream in five markers and O(1) memory,
-    without storing samples.  Exact for the first five observations, an
-    estimate thereafter.  Not mergeable — use :class:`ReservoirQuantile`
-    inside the registry; this class exists for streaming estimation and
-    for cross-validating :class:`repro.core.stats.Cdf`.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the estimator."""
-        value = float(value)
-        self.count += 1
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        heights = self._heights
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                direction = 1.0 if delta > 0 else -1.0
-                candidate = self._parabolic(i, direction)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, direction)
-                positions[i] += direction
-
-    def _parabolic(self, i: int, direction: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + direction / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + direction)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - direction) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, direction: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(direction)
-        return h[i] + direction * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """The current quantile estimate.
-
-        Raises:
-            ValueError: if no samples have been observed.
-        """
-        if self.count == 0:
-            raise ValueError("empty sample")
-        if len(self._heights) < 5:
-            # Exact small-sample path: interpolate over the sorted buffer.
-            values = sorted(self._heights)
-            if len(values) == 1:
-                return values[0]
-            position = self.q * (len(values) - 1)
-            lower = int(position)
-            upper = min(lower + 1, len(values) - 1)
-            fraction = position - lower
-            return values[lower] * (1.0 - fraction) + values[upper] * fraction
-        return self._heights[2]
+        return interpolate(self.values(), pct)

@@ -44,12 +44,6 @@ class CoDelQueue(Qdisc):
 
     name = "codel"
 
-    #: Test-only fault hook: when set to N > 0 (class or instance), every
-    #: Nth dequeue silently loses its head packet — no stats, no byte
-    #: book-keeping beyond the raw removal — so the audit ledgers have a
-    #: real accounting bug to catch.  Never set outside tests/CI demos.
-    _fault_leak_every = 0
-
     def __init__(
         self,
         capacity_packets: int = 1000,
@@ -63,7 +57,6 @@ class CoDelQueue(Qdisc):
         self.interval_s = interval_s
         self._queue: deque[tuple[Packet, float]] = deque()
         self._bytes = 0
-        self._fault_tick = 0
         # Control-law state (RFC 8289 pseudocode names).
         self._first_above_time_s = 0.0
         self._drop_next_s = 0.0
@@ -118,16 +111,6 @@ class CoDelQueue(Qdisc):
         return len(self._queue), sum(p.size_bytes for p, _ in self._queue)
 
     def dequeue(self, now_s: float) -> Packet | None:
-        if self._fault_leak_every > 0 and self._queue:
-            self._fault_tick += 1
-            if self._fault_tick % self._fault_leak_every == 0:
-                # Injected accounting bug (see _fault_leak_every): the
-                # head packet vanishes without touching any counter.
-                lost, _ = self._queue.popleft()
-                self._bytes -= lost.size_bytes
-                if not self._queue:
-                    self._dropping = False
-                    return None
         packet = self._pop_head(now_s)
         if packet is None:
             self._dropping = False

@@ -175,17 +175,6 @@ class RadioNetwork:
         kwargs.setdefault("max_gain_dbi", 24.0 if profile.generation == 5 else 15.0)
         return cls.from_sites(sites, profile, environment, **kwargs)
 
-    @classmethod
-    def from_campus(
-        cls,
-        campus: WorldModel,
-        profile: RadioProfile,
-        environment: Environment,
-        **kwargs: float,
-    ) -> "RadioNetwork":
-        """Back-compat alias of :meth:`from_world`."""
-        return cls.from_world(campus, profile, environment, **kwargs)
-
     def cell(self, pci: int) -> Cell:
         """Look a cell up by PCI."""
         try:

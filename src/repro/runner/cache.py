@@ -6,10 +6,9 @@ Layout::
       <source-hash>/                 one directory per code version
         fig7--seed=7.pkl             pickled {"result": ..., "record": ...}
         fig7--seed=7--scn=51f3490f674ab1b6.pkl   run under a named scenario
-        tab1--seed=7--a1b2c3d4.pkl   entries with extra (kwargs) key material
 
-The cache key is (experiment name, seed, source hash[, scenario digest]
-[, extra]).  Scenario digests come from
+The cache key is (experiment name, seed, source hash[, scenario digest]).
+Scenario digests come from
 :func:`repro.scenario.scenario_digest`, so runs of the same experiment
 under different deployments never collide.  The
 source hash digests every ``*.py`` file of the installed ``repro``
@@ -92,25 +91,19 @@ class ResultCache:
     def __init__(self, root: Path | str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
 
-    def _entry_path(
-        self, name: str, seed: int, extra: str = "", scenario_digest: str = ""
-    ) -> Path:
+    def _entry_path(self, name: str, seed: int, scenario_digest: str = "") -> Path:
         stem = f"{name}--seed={seed}"
         if scenario_digest:
             stem += f"--scn={scenario_digest}"
-        if extra:
-            stem += f"--{hashlib.sha256(extra.encode()).hexdigest()[:8]}"
         return self.root / source_hash() / (stem + _ENTRY_SUFFIX)
 
-    def load(
-        self, name: str, seed: int, extra: str = "", scenario_digest: str = ""
-    ) -> CacheEntry | None:
+    def load(self, name: str, seed: int, scenario_digest: str = "") -> CacheEntry | None:
         """Return the cached entry, or None on miss or corruption.
 
         A corrupt entry (interrupted write, version skew) is deleted and
         treated as a miss rather than failing the campaign.
         """
-        path = self._entry_path(name, seed, extra, scenario_digest)
+        path = self._entry_path(name, seed, scenario_digest)
         try:
             with path.open("rb") as handle:
                 payload = pickle.load(handle)
@@ -134,11 +127,10 @@ class ResultCache:
         seed: int,
         result: Any,
         record: RunRecord,
-        extra: str = "",
         scenario_digest: str = "",
     ) -> Path:
         """Persist ``result`` + ``record``; atomic against readers."""
-        path = self._entry_path(name, seed, extra, scenario_digest)
+        path = self._entry_path(name, seed, scenario_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:

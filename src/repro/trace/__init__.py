@@ -10,7 +10,8 @@ Quick start::
     trace.write_chrome(active.tracer, "fig6.trace.json")
 
 See :mod:`repro.trace.core` for the recording model and
-:mod:`repro.trace.export` for the on-disk formats.
+:mod:`repro.trace.export` for the on-disk formats (the JSONL one is
+framed by :mod:`repro.artifacts`).
 """
 
 from repro.trace.analysis import diff_traces, summarize, summary_dict, summary_table
@@ -26,7 +27,6 @@ from repro.trace.core import (
 from repro.trace.export import (
     load_trace,
     to_chrome,
-    to_jsonl_lines,
     write_chrome,
     write_jsonl,
 )
@@ -45,7 +45,6 @@ __all__ = [
     "summary_dict",
     "summary_table",
     "to_chrome",
-    "to_jsonl_lines",
     "write_chrome",
     "write_jsonl",
 ]

@@ -2,10 +2,11 @@
 
 Two on-disk formats:
 
-* **JSONL** (``.jsonl``) — one sorted-key JSON object per line, preceded by
-  a header line.  This is the canonical, diff-able format: it contains no
-  wall-clock timestamps, PIDs or file paths, so a fixed experiment+seed
-  produces byte-identical files.
+* **JSONL** (``.jsonl``) — the ``repro.trace`` kind of
+  :mod:`repro.artifacts`: a header counting emitted and dropped records,
+  then one span, instant or counter sample per line.  This is the
+  canonical, diff-able format: a fixed experiment+seed produces
+  byte-identical files.
 * **Chrome trace_event** (``.json``) — the ``{"traceEvents": [...]}``
   format understood by Perfetto / ``chrome://tracing``.  Virtual seconds
   are mapped to microseconds; each top-level category (the part of a
@@ -21,18 +22,16 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro import artifacts
 from repro.trace.core import CounterRecord, InstantRecord, SpanRecord, Tracer
 
 __all__ = [
-    "JSONL_SCHEMA_VERSION",
+    "is_chrome",
     "load_trace",
     "to_chrome",
-    "to_jsonl_lines",
     "write_chrome",
     "write_jsonl",
 ]
-
-JSONL_SCHEMA_VERSION = 1
 
 #: Virtual seconds → trace_event microseconds.
 _US_PER_S = 1e6
@@ -64,31 +63,13 @@ def _record_to_dict(record: Any) -> dict[str, Any]:
     raise TypeError(f"not a trace record: {record!r}")
 
 
-def to_jsonl_lines(tracer: Tracer, meta: dict[str, Any] | None = None) -> list[str]:
-    """Serialise a trace as JSONL lines (header first, records in order)."""
-    stats = tracer.stats()
-    header: dict[str, Any] = {
-        "kind": "header",
-        "tool": "repro.trace",
-        "schema_version": JSONL_SCHEMA_VERSION,
-        "emitted": stats.emitted,
-        "dropped": stats.dropped,
-    }
-    if meta:
-        header["meta"] = meta
-    lines = [json.dumps(header, sort_keys=True)]
-    for record in tracer.records():
-        lines.append(json.dumps(_record_to_dict(record), sort_keys=True))
-    return lines
-
-
 def write_jsonl(tracer: Tracer, path: str, meta: dict[str, Any] | None = None) -> int:
     """Write the JSONL form to ``path``; returns the number of records."""
-    lines = to_jsonl_lines(tracer, meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    return len(lines) - 1
+    stats = tracer.stats()
+    fields = {"emitted": stats.emitted, "dropped": stats.dropped}
+    return artifacts.write_jsonl(
+        path, "trace", fields, map(_record_to_dict, tracer.records()), meta
+    )
 
 
 def _category(name: str) -> str:
@@ -182,15 +163,10 @@ def write_chrome(tracer: Tracer, path: str, meta: dict[str, Any] | None = None) 
     return len(document["traceEvents"])
 
 
-def _load_jsonl(text: str) -> Tracer:
-    try:
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"truncated or malformed trace JSONL: {exc}") from exc
+def _load_jsonl(path: str) -> Tracer:
+    _, records = artifacts.read_jsonl(path, "trace")
     tracer = Tracer(capacity=max(len(records), 1))
     for obj in records:
-        if not isinstance(obj, dict):
-            raise ValueError(f"truncated or malformed trace record: {obj!r}")
         kind = obj.get("kind")
         try:
             if kind == "span":
@@ -199,7 +175,7 @@ def _load_jsonl(text: str) -> Tracer:
                 tracer.instant(obj["name"], obj["time_s"], **obj.get("args", {}))
             elif kind == "counter":
                 tracer.counter(obj["name"], obj["time_s"], obj["value"])
-            elif kind != "header":
+            else:
                 raise ValueError(f"unknown trace record kind: {kind!r}")
         except KeyError as exc:
             raise ValueError(
@@ -236,24 +212,27 @@ def _load_chrome(document: dict[str, Any]) -> Tracer:
     return tracer
 
 
+def is_chrome(head: str) -> bool:
+    """Whether the left-stripped start of a file is a Chrome trace document."""
+    return head.startswith("{") and '"traceEvents"' in head
+
+
 def load_trace(path: str) -> Tracer:
     """Load a JSONL or Chrome-format trace file into a queryable tracer.
 
     Raises:
-        ValueError: on empty, truncated or malformed input — an empty
-            trace means the producing run recorded nothing (or the file
-            was clobbered), and every query on it would silently answer
-            "no events", so it is rejected up front.
+        ValueError: on empty, truncated or malformed input, or a JSONL
+            file without its header — an empty trace means the producing
+            run recorded nothing (or the file was clobbered), and every
+            query on it would silently answer "no events", so it is
+            rejected up front.
     """
+    head, header = artifacts.sniff(path)
+    if header or not is_chrome(head):
+        return _load_jsonl(path)
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError("empty trace file")
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
         try:
-            document = json.loads(text)
+            document = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"truncated or malformed trace JSON: {exc}") from exc
-        return _load_chrome(document)
-    return _load_jsonl(text)
+    return _load_chrome(document)

@@ -41,6 +41,7 @@ from repro.runner import (
 )
 from repro.runner.instrument import instrumented_call
 from repro.scenario import resolve_scenario
+from tests.faults import leak_codel_heads
 
 
 def pkt(size_bytes=1448, flow_id=1, host_id=None):
@@ -212,22 +213,6 @@ class TestExport:
     def test_dump_basename(self):
         assert dump_basename("fig11", 7) == "fig11-seed7.audit.jsonl"
 
-    def test_load_rejects_empty_and_malformed(self, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        with pytest.raises(ValueError, match="empty audit file"):
-            load_audit(str(empty))
-        garbage = tmp_path / "garbage.jsonl"
-        garbage.write_text("{not json\n")
-        with pytest.raises(ValueError, match="truncated or malformed"):
-            load_audit(str(garbage))
-        headerless = tmp_path / "headerless.jsonl"
-        headerless.write_text(
-            json.dumps({"kind": "note", "name": "x", "time_s": 0.0, "args": {}}) + "\n"
-        )
-        with pytest.raises(ValueError, match="no header"):
-            load_audit(str(headerless))
-
 
 class TestAnalysis:
     def test_summary_table_aggregates_by_name(self, tmp_path):
@@ -323,7 +308,7 @@ class TestOccupancyResidual:
         self._assert_conserved(q, *self._churn(q))
 
     def test_injected_leak_breaks_flow_conservation_not_occupancy(self, monkeypatch):
-        monkeypatch.setattr(CoDelQueue, "_fault_leak_every", 3)
+        leak_codel_heads(monkeypatch, every=3)
         q = CoDelQueue(capacity_packets=64)
         deq, _ = self._churn(q)
         # The fault silently discards queued packets: structure and books
@@ -386,7 +371,7 @@ class TestLedgersOnRealRuns:
 class TestFlightRecorderOnFailure:
     def test_injected_leak_fails_run_with_readable_dump(self, monkeypatch, tmp_path, capsys):
         monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
-        monkeypatch.setattr(CoDelQueue, "_fault_leak_every", 50)
+        leak_codel_heads(monkeypatch, every=50)
         scenario = resolve_scenario("paper-nsa-codel")
         with pytest.raises(ExperimentFailure) as excinfo:
             execute_experiment("fig11", 7, None, scenario, out_dir=str(tmp_path))

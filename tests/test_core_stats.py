@@ -80,48 +80,46 @@ class TestCdf:
         assert cdf.percentile(25) <= cdf.percentile(50) <= cdf.percentile(75)
 
 
-class TestCdfVsP2Sketch:
-    """Cross-validate ``Cdf.percentile`` against the streaming P² estimator.
+class TestCdfVsReservoirSketch:
+    """Cross-validate ``Cdf.percentile`` against the registry's quantile sketch.
 
-    Two independent implementations of "the median of this sample" —
-    numpy interpolation over the full sorted sample vs the five-marker
-    P² recurrence — must agree to within a few percent of the sample
-    spread, or one of them is wrong.
+    Two independent implementations of "the p-th percentile of this
+    sample" — numpy over the full sample vs the interpolation that
+    :class:`~repro.metrics.sketches.ReservoirQuantile` and the metric
+    summaries share — must agree while the reservoir still holds every
+    sample, or one of them is wrong.
     """
 
     def _samples(self, n=2000):
         from repro.core.rng import RngFactory
 
-        rng = RngFactory(123).stream("stats:p2:crosscheck")
+        rng = RngFactory(123).stream("stats:sketch:crosscheck")
         return [float(v) for v in rng.gamma(2.0, 15.0, size=n)]
 
     @pytest.mark.parametrize("pct", [50.0, 90.0, 99.0])
     def test_streaming_estimate_matches_exact_percentile(self, pct):
-        from repro.metrics.sketches import P2Quantile
+        from repro.metrics.sketches import ReservoirQuantile
 
         samples = self._samples()
-        sketch = P2Quantile(pct / 100.0)
+        sketch = ReservoirQuantile(k=len(samples), tag="stats:crosscheck")
         for value in samples:
             sketch.observe(value)
-        exact = Cdf(samples).percentile(pct)
-        spread = max(samples) - min(samples)
-        # Tail quantiles converge slowest in P²; 4% of the spread is well
-        # inside the algorithm's published accuracy on 2000 samples.
-        assert sketch.value() == pytest.approx(exact, abs=0.04 * spread)
+        assert sketch.quantile(pct) == pytest.approx(Cdf(samples).percentile(pct), rel=1e-12)
 
     def test_small_samples_are_exact(self):
-        from repro.metrics.sketches import P2Quantile
+        from repro.metrics.sketches import ReservoirQuantile
 
-        sketch = P2Quantile(0.5)
+        sketch = ReservoirQuantile(k=8, tag="stats:small")
         for value in (4.0, 1.0, 3.0, 2.0):
             sketch.observe(value)
-        assert sketch.value() == pytest.approx(Cdf([1.0, 2.0, 3.0, 4.0]).percentile(50))
+        for pct in (0.0, 25.0, 50.0, 90.0, 100.0):
+            assert sketch.quantile(pct) == pytest.approx(Cdf([1.0, 2.0, 3.0, 4.0]).percentile(pct))
 
     def test_empty_sketch_raises_uniform_message(self):
-        from repro.metrics.sketches import P2Quantile
+        from repro.metrics.sketches import ReservoirQuantile
 
         with pytest.raises(ValueError, match="^empty sample$"):
-            P2Quantile(0.5).value()
+            ReservoirQuantile(k=8, tag="stats:empty").quantile(50.0)
 
 
 class TestHistogram:

@@ -17,7 +17,7 @@ from repro.transport import run_tcp, run_udp
 @pytest.fixture(scope="module")
 def drive_result():
     bed = make_testbed(seed=13)
-    walker = RouteWalker(bed.campus, bed.rng_factory.stream("dt-walk"))
+    walker = RouteWalker(bed.world, bed.rng_factory.stream("dt-walk"))
     tester = DriveTester(bed.nr, bed.lte, walker, bed.rng_factory.stream("dt"))
     return tester.run(duration_s=30.0, report_interval_s=0.5)
 
@@ -43,7 +43,7 @@ class TestDriveTester:
 
     def test_validation(self):
         bed = make_testbed(seed=13)
-        walker = RouteWalker(bed.campus, bed.rng_factory.stream("dt2"))
+        walker = RouteWalker(bed.world, bed.rng_factory.stream("dt2"))
         tester = DriveTester(bed.nr, bed.lte, walker, bed.rng_factory.stream("dt2r"))
         with pytest.raises(ValueError):
             tester.run(duration_s=0.0)
@@ -53,7 +53,7 @@ class TestDatasetRelease:
     def test_full_release_roundtrip(self, tmp_path, drive_result):
         bed = make_testbed(seed=13)
         release = DatasetRelease("unit_test_release")
-        locations = road_locations(bed.campus, 30, bed.rng_factory.stream("rel"))
+        locations = road_locations(bed.world, 30, bed.rng_factory.stream("rel"))
         points = survey_at_locations(bed.nr, locations)
         release.add_coverage_survey("survey", points)
         release.add_drive_test("walk", drive_result)

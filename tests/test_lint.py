@@ -234,11 +234,12 @@ class TestPolicyScopes:
             tmp_path, "metrics.gauge('fig0.energy.t5')\n"
         ) == [("REP006", 1)]
 
-    def test_rep006_counter_welford_and_histogram_accessors(self, tmp_path):
+    def test_rep006_counter_gauge_and_quantile_accessors(self, tmp_path):
         assert self._lint(
             tmp_path,
             "registry.counter('fig0.drops')\n"
-            "registry.welford('fig0.rtt')\n"
+            "registry.gauge('fig0.energy')\n"
+            "registry.quantile('fig0.rtt')\n"
             "registry.histogram('fig0.delay')\n",
         ) == [("REP006", 1), ("REP006", 2), ("REP006", 3)]
 

@@ -28,8 +28,8 @@ def campus():
 def networks(campus):
     rngf = RngFactory(99)
     env = Environment(campus.buildings, rngf)
-    nr = RadioNetwork.from_campus(campus, NR_PROFILE, env)
-    lte = RadioNetwork.from_campus(campus, LTE_PROFILE, env)
+    nr = RadioNetwork.from_world(campus, NR_PROFILE, env)
+    lte = RadioNetwork.from_world(campus, LTE_PROFILE, env)
     return nr, lte
 
 

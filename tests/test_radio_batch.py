@@ -51,7 +51,7 @@ def _edge_case_points(bed):
     points = []
     # Grazing rays: receivers exactly on building corners and edge
     # midpoints, where the segment-rectangle clip hits p == 0 branches.
-    for building in bed.campus.buildings.buildings[:4]:
+    for building in bed.world.buildings.buildings[:4]:
         points.append(Point(building.x_min, building.y_min))
         points.append(Point(building.x_max, building.y_max))
         points.append(Point((building.x_min + building.x_max) / 2.0, building.y_min))
@@ -72,7 +72,7 @@ def _edge_case_points(bed):
 
 
 def _all_points(bed):
-    return _random_points(bed.campus, 200, seed=123) + _edge_case_points(bed)
+    return _random_points(bed.world, 200, seed=123) + _edge_case_points(bed)
 
 
 class TestBatchedEquivalence:
@@ -186,7 +186,7 @@ class TestSurveyHotPath:
         assert calls == [len(bed.nr.cells)]  # one map, not three
 
         calls.clear()
-        points = _random_points(bed.campus, 50, seed=5)
+        points = _random_points(bed.world, 50, seed=5)
         survey_at_locations(bed.nr, points)
         assert calls == [50 * len(bed.nr.cells)]  # one matrix for the lot
 
@@ -344,7 +344,7 @@ class TestWallCrossingKernel:
         """``Environment(None, ...)`` is an empty map: every query still runs."""
         environment = Environment(None, RngFactory(0))
         masts = [Point(0.0, 0.0), Point(250.0, 40.0), Point(250.0, 40.0)]
-        receivers = _random_points(bed.campus, 30, seed=9) + [Point(0.0, 0.0)]
+        receivers = _random_points(bed.world, 30, seed=9) + [Point(0.0, 0.0)]
         x, y = batch.points_to_arrays(receivers)
         matrix = batch.path_loss_matrix_db(environment, masts, 3500.0, x, y)
         for i, rx in enumerate(receivers):

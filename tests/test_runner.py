@@ -176,14 +176,21 @@ class TestResultCache:
         assert hit.record.cached  # served-from-cache copies are marked
         assert hit.record.wall_time_s == 1.0  # original provenance kept
 
-    def test_keys_separate_by_seed_and_extra(self, tmp_path):
+    def test_keys_separate_by_seed_and_scenario(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store("fig3", 7, "seven", _record())
-        cache.store("fig3", 8, "eight", _record(seed=8))
-        cache.store("fig3", 7, "kwargs", _record(), extra="num_points=5")
+        paths = [
+            cache.store("fig3", 7, "seven", _record()),
+            cache.store("fig3", 8, "eight", _record(seed=8)),
+            cache.store("fig3", 7, "dense", _record(), scenario_digest="51f3490f674ab1b6"),
+        ]
+        assert [path.name for path in paths] == [
+            "fig3--seed=7.pkl",
+            "fig3--seed=8.pkl",
+            "fig3--seed=7--scn=51f3490f674ab1b6.pkl",
+        ]
         assert cache.load("fig3", 7).result == "seven"
         assert cache.load("fig3", 8).result == "eight"
-        assert cache.load("fig3", 7, extra="num_points=5").result == "kwargs"
+        assert cache.load("fig3", 7, scenario_digest="51f3490f674ab1b6").result == "dense"
         assert cache.load("fig3", 9) is None
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):

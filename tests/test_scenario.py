@@ -224,7 +224,7 @@ class TestScenarioThreading:
         assert build_testbed(7, "paper-nsa") is default_bed
         dense_bed = build_testbed(7, "dense-grid")
         assert dense_bed is not default_bed
-        assert len(dense_bed.campus.gnb_sites) > len(default_bed.campus.gnb_sites)
+        assert len(dense_bed.world.gnb_sites) > len(default_bed.world.gnb_sites)
 
     def test_cache_entries_distinct_per_scenario(self, tmp_path):
         """Changing the scenario misses the cache; same scenario hits it."""

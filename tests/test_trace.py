@@ -21,7 +21,6 @@ from repro.trace import (
     summary_dict,
     summary_table,
     to_chrome,
-    to_jsonl_lines,
     write_chrome,
     write_jsonl,
 )
@@ -205,8 +204,10 @@ def _small_tracer() -> Tracer:
 
 
 class TestJsonlExport:
-    def test_header_then_sorted_key_records(self):
-        lines = to_jsonl_lines(_small_tracer(), meta={"seed": 7})
+    def test_header_then_sorted_key_records(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(_small_tracer(), str(path), meta={"seed": 7})
+        lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "header"
         assert header["tool"] == "repro.trace"
@@ -219,8 +220,11 @@ class TestJsonlExport:
         for line in lines:
             assert line == json.dumps(json.loads(line), sort_keys=True)
 
-    def test_identical_traces_export_identical_bytes(self):
-        assert to_jsonl_lines(_small_tracer()) == to_jsonl_lines(_small_tracer())
+    def test_identical_traces_export_identical_bytes(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(_small_tracer(), str(a))
+        write_jsonl(_small_tracer(), str(b))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_write_and_load_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -379,14 +383,17 @@ class TestInstrumentationIntegration:
             for (_, pkts), (_, size) in zip(depths, sizes):
                 assert pkts >= 1 and size >= 40 * pkts
 
-    def test_trace_is_deterministic_for_fixed_seed(self):
+    def test_trace_is_deterministic_for_fixed_seed(self, tmp_path):
         first = Tracer()
         with instruments.using(tracer=first):
             _handoff_campaign()
         second = Tracer()
         with instruments.using(tracer=second):
             _handoff_campaign()
-        assert to_jsonl_lines(first) == to_jsonl_lines(second)
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(first, str(a))
+        write_jsonl(second, str(b))
+        assert a.read_bytes() == b.read_bytes()
         assert diff_traces(first, second).identical
 
     def test_tracing_does_not_perturb_results(self):
@@ -403,28 +410,11 @@ class TestInstrumentationIntegration:
 
 
 class TestLoadFailures:
-    """Defective trace files raise ValueError with a diagnosable message."""
+    """Defective trace files raise ValueError with a diagnosable message.
 
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty trace file"):
-            load_trace(str(path))
-
-    def test_blank_lines_only(self, tmp_path):
-        path = tmp_path / "blank.jsonl"
-        path.write_text("\n\n  \n")
-        with pytest.raises(ValueError, match="empty trace file"):
-            load_trace(str(path))
-
-    def test_truncated_jsonl(self, tmp_path):
-        path = tmp_path / "trunc.jsonl"
-        tracer = Tracer()
-        tracer.complete("x", 0.0, 1.0)
-        lines = to_jsonl_lines(tracer)
-        path.write_text("\n".join(lines)[:-10])
-        with pytest.raises(ValueError, match="truncated or malformed trace JSONL"):
-            load_trace(str(path))
+    The cases every JSONL artifact shares (empty, truncated, headerless)
+    are tested once for all kinds in ``tests/test_artifacts.py``.
+    """
 
     def test_record_missing_fields(self, tmp_path):
         path = tmp_path / "missing.jsonl"
